@@ -33,10 +33,8 @@ __all__ = [
 ]
 
 DEFAULT_TRIALS = 100_000
-DEFAULT_TOL = 1e-9
 DEFAULT_PSPHERE_P = (1.0, 2.0, 3.0, 10.0, 10000.0)
 
-THEORY_CHOICES = ("gnst", "p-gnst", "p-bin", "p-box")
 TABLE_COLUMNS = ("p-bin", "p-gnst/p-box", "p-nonlocal", "quantum", "classical")
 
 
@@ -174,7 +172,7 @@ _p_option = click.option(
 _seed_option = click.option(
     "--seed", type=int, default=_env_seed, help="RNG seed (default BOXWORLD_SEED or 0)"
 )
-_tol_option = click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
+_tol_option = click.option("--tol", type=float, default=states.DEFAULT_TOL, show_default=True)
 _format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
 )
@@ -254,7 +252,7 @@ def rac() -> None:
 
 
 @rac.command("params")
-@click.option("--theory", type=click.Choice(THEORY_CHOICES), default="p-gnst", show_default=True)
+@click.option("--theory", type=click.Choice(rac_mod.THEORIES), default="p-gnst", show_default=True)
 @click.option("--n", type=int, required=True, help="carrier systems")
 @_p_option
 @_format_option
@@ -278,7 +276,7 @@ def rac_params_cmd(theory: str, n: int, p: float, fmt: str) -> None:
 
 
 @rac.command("encode")
-@click.option("--theory", type=click.Choice(THEORY_CHOICES), default="p-gnst", show_default=True)
+@click.option("--theory", type=click.Choice(rac_mod.THEORIES), default="p-gnst", show_default=True)
 @click.option("--n", type=int, required=True)
 @_p_option
 @click.option("--bits", required=True, help="the bit string to encode, e.g. 0110")
@@ -306,7 +304,7 @@ def rac_decode_cmd(path: str, index: int, fmt: str) -> None:
 
 
 @rac.command("verify")
-@click.option("--theory", type=click.Choice(THEORY_CHOICES), default="p-gnst", show_default=True)
+@click.option("--theory", type=click.Choice(rac_mod.THEORIES), default="p-gnst", show_default=True)
 @click.option("--n", type=int, required=True)
 @_p_option
 @_seed_option
@@ -636,10 +634,7 @@ def run_psphere(p_list=DEFAULT_PSPHERE_P, samples: int = 128) -> list[tuple[floa
 @click.option("--samples", type=int, default=128, show_default=True)
 def psphere(p_list: str, samples: int) -> None:
     """CSV sphere-boundary points for plotting, one curve per p."""
-    try:
-        values = tuple(EXPONENT.convert(tok, None, None) for tok in p_list.split(","))
-    except click.exceptions.ClickException:
-        raise
+    values = tuple(EXPONENT.convert(tok, None, None) for tok in p_list.split(","))
     points = run_psphere(values, samples)
     _emit_csv(("p", "x", "y"), points)
 

@@ -4,10 +4,12 @@ The checks form a hierarchy.  The p-uncertainty relation bounds the
 power sum of moments over every pairwise anti-commuting set; positivity
 of moment matrices over disjoint-support collections tightens it; the
 same condition over maximal commuting collections tightens it further;
-and positive-semidefiniteness of the reconstructed density matrix
-(checked by the brute-force oracle) is the top of the ladder.
-``classify_state`` walks the levels in order and reports the first
-failure.
+and positive-semidefiniteness of the density matrix reconstructed from
+the moments is the top of the ladder.  ``classify_state`` reads the
+state's moments once, as a :class:`MomentTable`, walks the levels in
+order on that table and reports the first failure.  Both positivity
+rungs take the smallest eigenvalue of the group matrix ``mu[i xor j]``
+that :func:`moment_matrix` builds from a collection's subset moments.
 
 Every report follows one margin convention: a check passes iff its
 margin is at least ``-tol``.  Uncertainty margins are ``1 - worst power
@@ -19,9 +21,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,22 +33,20 @@ from .errors import (
 )
 from .pauli import (
     PauliString,
-    _bron_kerbosch,
-    _cached_maximal_sets,
+    cached_maximal_anticommuting_sets,
     commutes,
     gamma_set,
-    hermitian_basis,
-    pauli_product,
+    maximal_commuting_sets,
     product_of,
     sample_maximal_anticommuting_sets,
-    symplectic_form,
 )
 from .states import (
+    DEFAULT_TOL,
     CliffordCircuit,
     CoefficientState,
     GnstState,
     MomentTable,
-    _marginal_vector,
+    _marginals,
     all_outcomes,
     conjugate_pauli,
     moments_from_probabilities,
@@ -75,13 +74,10 @@ __all__ = [
     "validate_gnst",
 ]
 
-DEFAULT_TOL = 1e-9
-
 # Exhaustive clique enumeration over the moment alphabet is refused
 # beyond this many strings; canonical or randomized mode applies there.
 MAX_EXHAUSTIVE_STRINGS = 100
 MAX_LOCAL_SYSTEMS = 5
-MAX_COMMUTING_SYSTEMS = 4
 MAX_COLLECTION_SIZE = 12
 
 LEVELS = ("invalid", "p-bin", "p-box", "p-nonlocal", "quantum-consistent")
@@ -133,41 +129,20 @@ def validate_exponent(p: float) -> float:
     return p
 
 
-def _moment_items(
-    state: StateLike,
-) -> tuple[int, dict[tuple[int, int], float], bool]:
-    """Canonical moments of a state as (n, {basis key: value}, strict).
+def _moment_table(state: StateLike) -> MomentTable:
+    """The moments of a state as one table.
 
-    Strict means an absent key is *unknown* rather than zero, which is
-    the situation for partially specified probability tables.  Stored
-    zeros are kept: a measured zero is data.
+    Coefficient states give lenient tables (an absent string has moment
+    zero); probability tables give strict ones unless compact, since an
+    unmeasured moment is unknown, not zero.
     """
-    if isinstance(state, CoefficientState):
-        return state.n, {k: state.coefficient(*k) for k in state.keys()}, False
-    if isinstance(state, GnstState):
-        table = moments_from_probabilities(state)
-        items = {k: table.value(PauliString.hermitian(table.n, *k)) for k in table.keys()}
-        return table.n, items, table.strict
     if isinstance(state, MomentTable):
-        items = {k: state.value(PauliString.hermitian(state.n, *k)) for k in state.keys()}
-        return state.n, items, state.strict
+        return state
+    if isinstance(state, CoefficientState):
+        return MomentTable.from_coefficient_state(state)
+    if isinstance(state, GnstState):
+        return moments_from_probabilities(state)
     raise DomainError(f"cannot extract moments from {type(state).__name__}")
-
-
-def _lookup(
-    items: Mapping[tuple[int, int], float], string: PauliString, strict: bool
-) -> float:
-    sign = string.hermitian_sign()
-    if string.is_identity:
-        return float(sign)
-    key = string.basis_key()
-    if key in items:
-        return sign * items[key]
-    if strict:
-        raise IncompleteMomentError(
-            f"no moment available for {string.canonical().text()}"
-        )
-    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +201,15 @@ def check_p_uncertainty(
         ResourceError: exhaustive mode on an oversized alphabet.
     """
     p = validate_exponent(p)
-    n, items, strict = _moment_items(state)
-    alphabet = tuple(
-        PauliString.hermitian(n, a, b)
-        for (a, b) in sorted(items)
-        if items[(a, b)] != 0.0
-    )
+    table = _moment_table(state)
+    n = table.n
+    alphabet = tuple(s for s in table.strings() if table.value(s) != 0.0)
 
     if p == math.inf:
         # All modes coincide: the worst set is a single worst string.
         worst_abs, worst = 0.0, ()
         for s in alphabet:
-            value = abs(items[s.basis_key()])
+            value = abs(table.value(s))
             if value > worst_abs:
                 worst_abs, worst = value, (s.text(),)
         margin = 1.0 - worst_abs
@@ -258,7 +230,7 @@ def check_p_uncertainty(
                 f"exhaustive mode is limited to {MAX_EXHAUSTIVE_STRINGS} strings "
                 f"with non-zero moments, got {len(alphabet)}"
             )
-        sets = _cached_maximal_sets(alphabet) if alphabet else ()
+        sets = cached_maximal_anticommuting_sets(alphabet) if alphabet else ()
         families = [tuple(s) for s in sets]
     elif mode == "randomized":
         families = [
@@ -281,7 +253,7 @@ def check_p_uncertainty(
 
     worst_sum, worst = 0.0, ()
     for family in families:
-        total = sum(abs(_lookup(items, s, strict=False)) ** p for s in family)
+        total = sum(abs(table.value(s)) ** p for s in family if table.has(s))
         if total > worst_sum:
             worst_sum = total
             worst = tuple(s.canonical().text() for s in family)
@@ -335,12 +307,10 @@ def collection_moment_vector(
         IncompleteMomentError: if the state does not determine a needed
             moment.
     """
-    n, items, strict = _moment_items(state)
-    if collection and collection[0].n != n:
+    table = _moment_table(state)
+    if collection and collection[0].n != table.n:
         raise DomainError("collection and state system counts differ")
-    return np.array(
-        [_lookup(items, s, strict) for s in _collection_products(collection)]
-    )
+    return np.array([table.value(s) for s in _collection_products(collection)])
 
 
 def moment_matrix(
@@ -364,20 +334,22 @@ def moment_matrix(
 
 
 def check_psd(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Positive-semidefiniteness report for a real symmetric matrix.
+    """Positive-semidefiniteness report for a real symmetric or complex
+    Hermitian matrix.
 
     Passes iff the minimum eigenvalue is at least ``-tol``; the margin
     is that eigenvalue.
 
     Raises:
-        DomainError: non-square or non-symmetric input.
+        DomainError: non-square or non-Hermitian input.
     """
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix)
+    m = m.astype(complex if np.iscomplexobj(m) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric")
+    if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
+        raise DomainError("matrix is not Hermitian")
     smallest = float(np.linalg.eigvalsh(m)[0])
     return ValidationReport(
         "psd", smallest >= -tol, smallest, (), {"dim": m.shape[0]}
@@ -418,6 +390,40 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
             yield choice
 
 
+def _positivity_report(
+    constraint: str,
+    table: MomentTable,
+    collections: Iterable[tuple[Sequence[PauliString], Sequence[PauliString]]],
+    tol: float,
+) -> ValidationReport:
+    """Smallest moment-matrix eigenvalue over (collection, members) pairs.
+
+    The worst pair's members name the report's worst set.  Collections
+    the table leaves undetermined are skipped and counted.
+    """
+    worst_eig, worst = math.inf, ()
+    evaluated = skipped = 0
+    for collection, members in collections:
+        try:
+            k = moment_matrix(collection, table)
+        except IncompleteMomentError:
+            skipped += 1
+            continue
+        evaluated += 1
+        smallest = float(np.linalg.eigvalsh(k)[0])
+        if smallest < worst_eig:
+            worst_eig = smallest
+            worst = tuple(s.text() for s in members)
+    margin = 1.0 if evaluated == 0 else worst_eig
+    return ValidationReport(
+        constraint,
+        margin >= -tol,
+        margin,
+        worst,
+        {"collections": evaluated, "skipped": skipped},
+    )
+
+
 def check_local_moments(
     state: StateLike, tol: float = DEFAULT_TOL
 ) -> ValidationReport:
@@ -429,76 +435,24 @@ def check_local_moments(
     Raises:
         ResourceError: beyond five systems.
     """
-    n, items, strict = _moment_items(state)
-    if n > MAX_LOCAL_SYSTEMS:
+    table = _moment_table(state)
+    if table.n > MAX_LOCAL_SYSTEMS:
         raise ResourceError(
             f"local moment check is limited to n <= {MAX_LOCAL_SYSTEMS}"
         )
-    worst_eig, worst = math.inf, ()
-    evaluated = skipped = 0
-    for collection in disjoint_support_collections(n):
-        try:
-            mu = np.array(
-                [_lookup(items, s, strict) for s in _collection_products(collection)]
-            )
-        except IncompleteMomentError:
-            skipped += 1
-            continue
-        evaluated += 1
-        size = mu.shape[0]
-        idx = np.arange(size)
-        smallest = float(
-            np.linalg.eigvalsh(mu[np.bitwise_xor(idx[:, None], idx[None, :])])[0]
-        )
-        if smallest < worst_eig:
-            worst_eig = smallest
-            worst = tuple(s.text() for s in collection)
-    margin = 1.0 if evaluated == 0 else worst_eig
-    return ValidationReport(
-        "local-moments",
-        margin >= -tol,
-        margin,
-        worst,
-        {"collections": evaluated, "skipped": skipped},
-    )
+    collections = disjoint_support_collections(table.n)
+    return _positivity_report("local-moments", table, ((c, c) for c in collections), tol)
 
 
-def _commutation_masks(strings: Sequence[PauliString]) -> list[int]:
-    masks = [0] * len(strings)
-    for i, s in enumerate(strings):
-        for j in range(i + 1, len(strings)):
-            if symplectic_form(s, strings[j]) == 0:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
-@lru_cache(maxsize=None)
-def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
-    """All maximal pairwise commuting collections of non-identity strings.
-
-    Each is closed under products up to sign: the product of two members
-    commutes with every member, so maximality forces it back into the
-    collection.  On ``n`` systems every such collection has 2**n - 1
-    members.
-
-    Raises:
-        ResourceError: beyond four systems.
-    """
-    if n > MAX_COMMUTING_SYSTEMS:
-        raise ResourceError(
-            f"commuting-set enumeration is limited to n <= {MAX_COMMUTING_SYSTEMS}"
-        )
-    strings = tuple(hermitian_basis(n))
-    adj = _commutation_masks(strings)
-    cliques: list[int] = []
-    _bron_kerbosch(adj, 0, (1 << len(strings)) - 1, 0, cliques)
-    out = []
-    for mask in cliques:
-        members = tuple(strings[i] for i in range(len(strings)) if mask >> i & 1)
-        out.append(members)
-    out.sort(key=lambda c: tuple(s.letters() for s in c))
-    return tuple(out)
+def _generators(members: Sequence[PauliString]) -> list[PauliString]:
+    """Members whose subset products give every member up to sign: each
+    one chosen lies outside the span of those chosen before it."""
+    span, out = {(0, 0)}, []
+    for s in members:
+        if s.basis_key() not in span:
+            out.append(s)
+            span |= {(a ^ s.a, b ^ s.b) for a, b in span}
+    return out
 
 
 def check_commuting_moments(
@@ -506,41 +460,35 @@ def check_commuting_moments(
 ) -> ValidationReport:
     """Positivity of moment matrices over maximal commuting collections.
 
-    The matrix for a collection is indexed by the identity plus all
-    members; since the collection is product-closed this is its full
-    group moment matrix.  Undetermined collections are skipped.
+    A maximal collection is a group up to sign, so its moment matrix is
+    the group matrix of n independent generators, whose subset products
+    are the identity and every member.  The worst set lists every
+    member.  Undetermined collections are skipped.
 
     Raises:
         ResourceError: beyond four systems.
     """
-    n, items, strict = _moment_items(state)
-    worst_eig, worst = math.inf, ()
-    evaluated = skipped = 0
-    for members in maximal_commuting_sets(n):
-        elements = (PauliString.identity(n),) + members
-        size = len(elements)
-        k = np.empty((size, size))
-        try:
-            for i in range(size):
-                for j in range(i, size):
-                    value = _lookup(items, pauli_product(elements[i], elements[j]), strict)
-                    k[i, j] = k[j, i] = value
-        except IncompleteMomentError:
-            skipped += 1
-            continue
-        evaluated += 1
-        smallest = float(np.linalg.eigvalsh(k)[0])
-        if smallest < worst_eig:
-            worst_eig = smallest
-            worst = tuple(s.text() for s in members)
-    margin = 1.0 if evaluated == 0 else worst_eig
-    return ValidationReport(
-        "commuting-moments",
-        margin >= -tol,
-        margin,
-        worst,
-        {"collections": evaluated, "skipped": skipped},
-    )
+    table = _moment_table(state)
+    collections = ((_generators(m), m) for m in maximal_commuting_sets(table.n))
+    return _positivity_report("commuting-moments", table, collections, tol)
+
+
+def _density_matrix(table: MomentTable) -> np.ndarray:
+    """rho = 2**-n (identity + sum over stored moments of m_k sigma_k).
+
+    The basis element sigma_(a,b) = i**|a & b| X**a Z**b maps |j> to
+    i**|a & b| (-1)**|j & b| |j xor a>, so each moment adds one signed
+    permutation.  Bit i of a basis index is system i, the reverse of the
+    kron order; the spectrum does not depend on the order.
+    """
+    dim = 1 << table.n
+    idx = np.arange(dim)
+    parity = np.array([j.bit_count() & 1 for j in range(dim)])
+    rho = np.eye(dim, dtype=complex)
+    for s in table.strings():
+        phase = 1j ** (s.a & s.b).bit_count()
+        rho[idx ^ s.a, idx] += table.value(s) * phase * (1 - 2 * parity[idx & s.b])
+    return rho / dim
 
 
 # ---------------------------------------------------------------------------
@@ -576,41 +524,32 @@ def classify_state(
 ) -> ClassificationResult:
     """Run the constraint ladder bottom-up and name the reached level.
 
+    The state's moments are read once; every rung checks that table.
     Moments the state does not determine are treated as zero when the
     reconstructed density matrix is tested, so for partial tables the
     top level asserts consistency of one completion, not of all.
 
     Raises:
-        ResourceError: if the density-matrix stage exceeds the dense
-            oracle's size limit.
+        ResourceError: beyond four systems, from the commuting rung, if
+            the state passes the rungs below it.
     """
+    table = _moment_table(state)
     reports: list[ValidationReport] = []
-    first = check_p_uncertainty(state, p, mode=mode, seed=seed, samples=samples, tol=tol)
+    first = check_p_uncertainty(table, p, mode=mode, seed=seed, samples=samples, tol=tol)
     reports.append(first)
     if not first.passed:
         return ClassificationResult("invalid", tuple(reports))
-    local = check_local_moments(state, tol=tol)
+    local = check_local_moments(table, tol=tol)
     reports.append(local)
     if not local.passed:
         return ClassificationResult("p-bin", tuple(reports))
-    commuting = check_commuting_moments(state, tol=tol)
+    commuting = check_commuting_moments(table, tol=tol)
     reports.append(commuting)
     if not commuting.passed:
         return ClassificationResult("p-box", tuple(reports))
-
-    from . import oracle
-
-    n, items, _ = _moment_items(state)
-    if isinstance(state, CoefficientState):
-        coeff = state
-    else:
-        coeff = CoefficientState(n, items, tol=max(tol, 1e-9))
-    smallest = oracle.min_eigenvalue(oracle.dense(coeff))
-    passed = smallest >= -tol
-    reports.append(
-        ValidationReport("density-psd", passed, smallest, (), {"dim": 1 << n})
-    )
-    level = "quantum-consistent" if passed else "p-nonlocal"
+    density = replace(check_psd(_density_matrix(table), tol=tol), constraint="density-psd")
+    reports.append(density)
+    level = "quantum-consistent" if density.passed else "p-nonlocal"
     return ClassificationResult(level, tuple(reports))
 
 
@@ -677,13 +616,7 @@ def two_measurement_sylvester(
     """
     box = max(abs(a), abs(b), abs(c)) <= 1.0 + tol
     cubic = 1.0 - a * a - b * b - c * c + 2.0 * a * b * c >= -tol
-    e1, e2, e3, e4 = (
-        1.0 + a + b + c,
-        1.0 + a - b - c,
-        1.0 - a + b - c,
-        1.0 - a - b + c,
-    )
-    det = e1 * e2 * e3 * e4 >= -tol
+    det = math.prod(two_measurement_eigenvalues(a, b, c)) >= -tol
     return SylvesterReport(box, cubic, det)
 
 
@@ -725,32 +658,18 @@ def validate_gnst(state: GnstState, tol: float = DEFAULT_TOL) -> ValidationRepor
         for keep in itertools.chain.from_iterable(
             itertools.combinations(range(n), r) for r in range(1, n)
         ):
-            margins: dict[tuple, tuple[tuple[float, ...], tuple[int, ...]]] = {}
-            moments: dict[tuple, tuple[float, tuple[int, ...]]] = {}
-            for setting in settings:
-                sub = tuple(setting.labels[i] for i in keep)
-                probs = state.probabilities(setting)
-                marg = _marginal_vector(probs, n, keep)
-                if sub in margins:
-                    reference, source = margins[sub]
-                    dev = max(abs(x - y) for x, y in zip(marg, reference))
-                    if dev > signal_dev:
-                        signal_dev = dev
-                        signal_worst = (str(source), str(setting.labels))
-                else:
-                    margins[sub] = (marg, setting.labels)
+            moments: dict[tuple[int, ...], float] = {}
+            for setting, sub, _, deviation, source in _marginals(state, keep):
+                pair = (str(source), str(setting.labels))
+                if deviation > signal_dev:
+                    signal_dev, signal_worst = deviation, pair
                 value = sum(
                     p * math.prod(o[i] for i in keep)
-                    for p, o in zip(probs, outcomes)
+                    for p, o in zip(state.probabilities(setting), outcomes)
                 )
-                if sub in moments:
-                    reference_m, source = moments[sub]
-                    dev = abs(value - reference_m)
-                    if dev > overlap_dev:
-                        overlap_dev = dev
-                        overlap_worst = (str(source), str(setting.labels))
-                else:
-                    moments[sub] = (value, setting.labels)
+                dev = abs(value - moments.setdefault(sub, value))
+                if dev > overlap_dev:
+                    overlap_dev, overlap_worst = dev, pair
 
     checks = (
         ValidationReport("normalization", norm_dev <= tol, -norm_dev, norm_worst),

@@ -476,7 +476,7 @@ def _verify_rac(claim: str, seed: int, cases: int) -> dict:
             bits = tuple(int(v) for v in rng.integers(0, 2, size=3**n))
             state = rac.rac_encode_pgnst(bits, n, p)
             expected_q = 0.5 + 0.5 * lam
-            if not check_p_uncertainty(state, p).passed:
+            if not check_p_uncertainty(state, p, mode="exhaustive").passed:
                 failures.append({"n": n, "p": p, "reason": "uncertainty"})
         elif claim == "pbinRAC":
             bits = tuple(int(v) for v in rng.integers(0, 2, size=4**n - 1))

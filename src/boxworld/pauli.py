@@ -37,6 +37,8 @@ __all__ = [
     "hermitian_basis",
     "full_support_strings",
     "maximal_anticommuting_sets",
+    "cached_maximal_anticommuting_sets",
+    "maximal_commuting_sets",
     "enumerate_anticommuting_sets",
     "sample_maximal_anticommuting_sets",
 ]
@@ -47,8 +49,10 @@ _TAG_TO_PHASE = {"+1": 0, "+i": 1, "-1": 2, "-i": 3, "−1": 2, "−i": 3}
 _PHASE_TO_TAG = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
 # Exhaustive enumeration over all 4**n - 1 strings is gated here; beyond
-# this the randomized mode must be used instead.
+# this the randomized mode must be used instead.  Maximal commuting sets
+# are enumerated up to one system further.
 MAX_ENUMERATION_SYSTEMS = 3
+MAX_COMMUTING_SYSTEMS = 4
 
 
 @dataclass(frozen=True)
@@ -345,11 +349,11 @@ def full_support_strings(n: int) -> tuple[PauliString, ...]:
     return tuple(out)
 
 
-def _anticommutation_masks(strings: Sequence[PauliString]) -> list[int]:
+def _relation_masks(strings: Sequence[PauliString], form: int) -> list[int]:
     masks = [0] * len(strings)
     for i, s in enumerate(strings):
         for j in range(i + 1, len(strings)):
-            if symplectic_form(s, strings[j]) == 1:
+            if symplectic_form(s, strings[j]) == form:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
     return masks
@@ -374,6 +378,21 @@ def _bron_kerbosch(adj: list[int], r: int, p: int, x: int, out: list[int]) -> No
         x |= bit
 
 
+def _maximal_cliques(
+    strings: tuple[PauliString, ...], form: int
+) -> list[tuple[PauliString, ...]]:
+    """Every maximal subset of ``strings`` whose pairs all have symplectic
+    form ``form`` (0 = commuting, 1 = anti-commuting), sorted by letters."""
+    cliques: list[int] = []
+    _bron_kerbosch(_relation_masks(strings, form), 0, (1 << len(strings)) - 1, 0, cliques)
+    out = [
+        tuple(strings[i] for i in range(len(strings)) if mask >> i & 1)
+        for mask in cliques
+    ]
+    out.sort(key=lambda c: tuple(s.letters() for s in c))
+    return out
+
+
 def maximal_anticommuting_sets(
     strings: Sequence[PauliString],
 ) -> tuple[AntiCommutingSet, ...]:
@@ -382,21 +401,38 @@ def maximal_anticommuting_sets(
     Maximality is relative to the supplied alphabet: no further member
     of ``strings`` can be added.
     """
-    strings = tuple(strings)
-    adj = _anticommutation_masks(strings)
-    cliques: list[int] = []
-    _bron_kerbosch(adj, 0, (1 << len(strings)) - 1, 0, cliques)
-    out = []
-    for mask in cliques:
-        members = tuple(strings[i] for i in range(len(strings)) if mask >> i & 1)
-        out.append(AntiCommutingSet(members))
-    out.sort(key=lambda s: tuple(m.letters() for m in s))
-    return tuple(out)
+    return tuple(AntiCommutingSet(c) for c in _maximal_cliques(tuple(strings), 1))
 
 
 @lru_cache(maxsize=None)
 def _cached_maximal_sets(strings: tuple[PauliString, ...]) -> tuple[AntiCommutingSet, ...]:
     return maximal_anticommuting_sets(strings)
+
+
+def cached_maximal_anticommuting_sets(
+    strings: Sequence[PauliString],
+) -> tuple[AntiCommutingSet, ...]:
+    """:func:`maximal_anticommuting_sets`, memoized by alphabet."""
+    return _cached_maximal_sets(tuple(strings))
+
+
+@lru_cache(maxsize=None)
+def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
+    """All maximal pairwise commuting collections of non-identity strings.
+
+    Each is closed under products up to sign: the product of two members
+    commutes with every member, so maximality forces it back into the
+    collection.  On ``n`` systems every such collection has 2**n - 1
+    members.
+
+    Raises:
+        ResourceError: beyond four systems.
+    """
+    if n > MAX_COMMUTING_SYSTEMS:
+        raise ResourceError(
+            f"commuting-set enumeration is limited to n <= {MAX_COMMUTING_SYSTEMS}"
+        )
+    return tuple(_maximal_cliques(tuple(hermitian_basis(n)), 0))
 
 
 def enumerate_anticommuting_sets(n: int) -> tuple[AntiCommutingSet, ...]:
@@ -410,7 +446,7 @@ def enumerate_anticommuting_sets(n: int) -> tuple[AntiCommutingSet, ...]:
             f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_SYSTEMS}; "
             "use sample_maximal_anticommuting_sets for larger systems"
         )
-    return _cached_maximal_sets(tuple(hermitian_basis(n)))
+    return cached_maximal_anticommuting_sets(hermitian_basis(n))
 
 
 def sample_maximal_anticommuting_sets(
@@ -421,7 +457,7 @@ def sample_maximal_anticommuting_sets(
 
     strings = tuple(strings)
     rng = random.Random(seed)
-    adj = _anticommutation_masks(strings)
+    adj = _relation_masks(strings, 1)
     seen: set[int] = set()
     out: list[AntiCommutingSet] = []
     order = list(range(len(strings)))

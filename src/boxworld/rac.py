@@ -175,9 +175,13 @@ def rac_encode_pgnst(
 ) -> GnstState:
     """The table code at exponent ``p``: strength (2n+1)**(-1/p).
 
-    That strength saturates the power-sum relation over the maximal
-    anti-commuting families of full-support strings, which have 2n+1
-    members, so it is the largest uniform magnitude the theory admits.
+    That strength gives the recovery probability 1/2 + (2n+1)**(-1/p)/2
+    of :func:`rac_params`.  It saturates the power-sum relation only at
+    n = 1, where X, Z and Y form a 3-member anti-commuting family.  For
+    n >= 2 the largest anti-commuting family of full-support strings has
+    fewer than 2n+1 members (3 at n = 2, 4 at n = 3), so the code keeps
+    slack: its exhaustive uncertainty margin is 1 - 3/5 = 0.40 at n = 2
+    and 1 - 4/7, about 0.43, at n = 3, for every finite p.
     """
     p = validate_exponent(p)
     index_map = index_map or IndexMap.settings_map(n)

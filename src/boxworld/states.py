@@ -502,24 +502,15 @@ class GnstState:
         """Marginals on any subset must not depend on discarded labels."""
         if self.is_compact or self._n == 1:
             return
-        stored = sorted(self._table)
-        systems = range(self._n)
         for keep in itertools.chain.from_iterable(
-            itertools.combinations(systems, r) for r in range(1, self._n)
+            itertools.combinations(range(self._n), r) for r in range(1, self._n)
         ):
-            seen: dict[tuple, tuple[tuple[float, ...], tuple[int, ...]]] = {}
-            for labels in stored:
-                sub_labels = tuple(labels[i] for i in keep)
-                marg = _marginal_vector(self._table[labels], self._n, keep)
-                if sub_labels in seen:
-                    reference, source = seen[sub_labels]
-                    if any(abs(x - y) > tol for x, y in zip(marg, reference)):
-                        raise NoSignalingError(
-                            f"marginal on systems {keep} differs between "
-                            f"settings {source} and {labels}"
-                        )
-                else:
-                    seen[sub_labels] = (marg, labels)
+            for setting, _, _, deviation, source in _marginals(self, keep):
+                if deviation > tol:
+                    raise NoSignalingError(
+                        f"marginal on systems {keep} differs between "
+                        f"settings {source} and {setting.labels}"
+                    )
 
     # -- serialization ------------------------------------------------
 
@@ -578,6 +569,27 @@ def _marginal_vector(
     return tuple(sums[o] for o in all_outcomes(len(keep)))
 
 
+def _marginals(
+    state: GnstState, keep: Sequence[int]
+) -> Iterator[
+    tuple[FiducialSetting, tuple[int, ...], tuple[float, ...], float, tuple[int, ...]]
+]:
+    """Every setting's marginal on the systems ``keep``.
+
+    Yields (setting, its labels on ``keep``, marginal, deviation,
+    source), where source is the first setting with the same labels on
+    ``keep`` and deviation is the largest entrywise difference between
+    the two marginals (0 for the source itself).
+    """
+    first: dict[tuple[int, ...], tuple[tuple[float, ...], tuple[int, ...]]] = {}
+    for setting in state.settings():
+        sub = tuple(setting.labels[i] for i in keep)
+        marg = _marginal_vector(state.probabilities(setting), state.n, keep)
+        reference, source = first.setdefault(sub, (marg, setting.labels))
+        deviation = max(abs(x - y) for x, y in zip(marg, reference))
+        yield setting, sub, marg, deviation, source
+
+
 def pr_box_state() -> GnstState:
     """The two-system table with perfectly correlated X/Z settings.
 
@@ -606,23 +618,15 @@ def marginalize(state: GnstState, systems: Sequence[int]) -> GnstState:
         raise DimensionError(f"systems {systems} out of range for n={state.n}")
     if len(keep) == state.n:
         return state
-    tol = DEFAULT_TOL
-    collected: dict[tuple[int, ...], tuple[tuple[float, ...], tuple[int, ...]]] = {}
-    for setting in state.settings():
-        sub_labels = tuple(setting.labels[i] for i in keep)
-        marg = _marginal_vector(state.probabilities(setting), state.n, keep)
-        if sub_labels in collected:
-            reference, source = collected[sub_labels]
-            if any(abs(x - y) > tol for x, y in zip(marg, reference)):
-                raise NoSignalingError(
-                    f"marginal on systems {keep} differs between settings "
-                    f"{source} and {setting.labels}"
-                )
-        else:
-            collected[sub_labels] = (marg, setting.labels)
-    return GnstState.from_table(
-        len(keep), {k: v for k, (v, _) in collected.items()}
-    )
+    collected: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for setting, sub, marg, deviation, source in _marginals(state, keep):
+        if deviation > DEFAULT_TOL:
+            raise NoSignalingError(
+                f"marginal on systems {keep} differs between settings "
+                f"{source} and {setting.labels}"
+            )
+        collected.setdefault(sub, marg)
+    return GnstState.from_table(len(keep), collected)
 
 
 class MomentTable:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boxworld import constraints, oracle
 from boxworld.constraints import (
     MAX_COLLECTION_SIZE,
     check_commuting_moments,
@@ -24,8 +25,8 @@ from boxworld.constraints import (
     validate_gnst,
 )
 from boxworld.errors import DomainError, IncompleteMomentError, ResourceError
-from boxworld.pauli import PauliString, commutes
-from boxworld.rac import rac_encode_pbin
+from boxworld.pauli import PauliString, commutes, pauli_product
+from boxworld.rac import rac_encode_pbin, rac_encode_pgnst
 from boxworld.states import (
     CliffordCircuit,
     CoefficientState,
@@ -181,6 +182,12 @@ class TestPsd:
         with pytest.raises(DomainError):
             check_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_complex_hermitian_input(self):
+        report = check_psd(np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
+        assert report.margin == pytest.approx(0.5)
+        with pytest.raises(DomainError):
+            check_psd(np.array([[1.0, 0.5j], [0.5j, 1.0]]))
+
 
 class TestLocalAndCommuting:
     def test_pr_box_satisfies_local(self):
@@ -238,6 +245,82 @@ class TestLocalAndCommuting:
         report = check_commuting_moments(coeff)
         assert not report.passed
         assert report.margin == pytest.approx(-1.0)
+
+
+def pairwise_commuting_reference(state):
+    """The commuting rung with one matrix row per element (the identity
+    and every member), each entry the moment of a pairwise product.
+
+    Returns (margin, evaluated collections, skipped collections).
+    """
+    table = constraints._moment_table(state)
+    worst, evaluated, skipped = math.inf, 0, 0
+    for members in maximal_commuting_sets(table.n):
+        elements = (PauliString.identity(table.n),) + members
+        try:
+            k = np.array(
+                [[table.value(pauli_product(s, t)) for t in elements] for s in elements]
+            )
+        except IncompleteMomentError:
+            skipped += 1
+            continue
+        evaluated += 1
+        worst = min(worst, float(np.linalg.eigvalsh(k)[0]))
+    return (1.0 if evaluated == 0 else worst), evaluated, skipped
+
+
+def ladder_families(n, rng):
+    """Quantum states, the same scaled x1.6, p-bin codes (unrestricted
+    and restricted to letter tensors), p-gnst tables and the PR box."""
+    bits = lambda count: [int(b) for b in rng.integers(0, 2, size=count)]
+    for p in (1.5, 2.0, 3.0, math.inf):
+        quantum = oracle.random_quantum_state(n, rng)
+        yield quantum
+        scaled = {k: 1.6 * quantum.coefficient(*k) for k in quantum.keys()}
+        yield MomentTable(n, scaled, strict=False)
+        yield rac_encode_pbin(bits(4**n - 1), n, p)
+        yield rac_encode_pbin(bits(3**n), n, p, restrict_to_xyz=True)
+        yield rac_encode_pgnst(bits(3**n), n, p)
+    if n == 2:
+        yield pr_box_state()
+
+
+class TestLadderPaths:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_generator_matrix_matches_pairwise_products(self, n, rng):
+        for state in ladder_families(n, rng):
+            report = check_commuting_moments(state)
+            margin, evaluated, skipped = pairwise_commuting_reference(state)
+            assert abs(report.margin - margin) <= 1e-12
+            assert report.detail == {"collections": evaluated, "skipped": skipped}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_density_rung_matches_oracle(self, n, rng):
+        state = oracle.random_quantum_state(n, rng)
+        report = classify_state(state, 2).reports[-1]
+        assert report.constraint == "density-psd"
+        assert report.detail == {"dim": 1 << n}
+        expected = oracle.min_eigenvalue(oracle.dense(state))
+        assert abs(report.margin - expected) <= 1e-12
+
+    def test_density_rung_matches_oracle_on_pr_box(self):
+        result = classify_state(pr_box_state(), math.inf)
+        assert result.level == "p-nonlocal"
+        dense = oracle.dense(oracle.pr_box_coefficient_state())
+        assert abs(result.reports[-1].margin - oracle.min_eigenvalue(dense)) <= 1e-12
+
+    def test_probability_table_read_once(self, monkeypatch):
+        calls = []
+        convert = constraints.moments_from_probabilities
+
+        def counting(state, *args, **kwargs):
+            calls.append(state)
+            return convert(state, *args, **kwargs)
+
+        monkeypatch.setattr(constraints, "moments_from_probabilities", counting)
+        result = classify_state(pr_box_state(), math.inf)
+        assert len(result.reports) == 4
+        assert len(calls) == 1
 
 
 class TestClassification:

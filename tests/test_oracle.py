@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from boxworld import oracle
+from boxworld import constraints, oracle
 from boxworld.errors import DimensionError, DomainError, ResourceError
 from boxworld.pauli import PauliString
 from boxworld.states import CliffordCircuit, CoefficientState, pr_box_state
@@ -176,6 +176,21 @@ class TestClaimVerifiers:
         assert report["claim"] == claim
         assert report["passed"]
         assert report["cases"] > 0
+
+    def test_prac_claim_is_a_proof(self, monkeypatch):
+        # every uncertainty check behind the claim enumerates all families
+        modes = []
+        check = constraints.check_p_uncertainty
+
+        def recording(*args, **kwargs):
+            report = check(*args, **kwargs)
+            modes.append(report.detail["mode"])
+            return report
+
+        monkeypatch.setattr(constraints, "check_p_uncertainty", recording)
+        assert oracle.exhaustive_verify("pRAC", cases=20)["passed"]
+        assert len(modes) == 20
+        assert set(modes) == {"exhaustive"}
 
     def test_unknown_claim(self):
         with pytest.raises(DomainError):

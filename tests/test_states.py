@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxworld import oracle
+from boxworld.constraints import validate_gnst
 from boxworld.errors import (
     DimensionError,
     DomainError,
@@ -263,8 +264,17 @@ class TestGnstState:
             (1, 1): (0.5, 0.0, 0.0, 0.5),
             (1, 2): (0.9, 0.0, 0.0, 0.1),
         }
-        with pytest.raises(NoSignalingError):
+        pair = r"differs between settings \(1, 1\) and \(1, 2\)"
+        with pytest.raises(NoSignalingError, match=r"systems \(0,\) " + pair):
             GnstState.from_table(2, table)
+        # marginalize and validate_gnst name the same pair of settings
+        state = GnstState.from_table(2, table, check=False)
+        with pytest.raises(NoSignalingError, match=r"systems \[0\] " + pair):
+            marginalize(state, [0])
+        checks = validate_gnst(state).detail["checks"]
+        signaling = next(c for c in checks if c["constraint"] == "no-signaling")
+        assert signaling["worst_set"] == ["(1, 1)", "(1, 2)"]
+        assert signaling["margin"] == pytest.approx(-0.4)
 
     def test_pr_box_moments(self):
         box = pr_box_state()
