@@ -96,6 +96,13 @@ def ip_oneway_cost(n: int, p: float, theory: str = "p-gnst") -> CommProtocolResu
     p = infinity retrieval is certain; at finite p the same carrier
     counts apply but each retrieval succeeds only with the code's
     recovery probability, noted on the result.
+
+    The two rules count the y = 0 entry differently.  The table rule
+    counts all 2**n entries, the always-zero y = 0 entry included, so
+    it needs 3**carriers >= 2**n.  The p-bin rule leaves that entry
+    out: its code addresses the 4**carriers - 1 non-identity strings,
+    which hold the other 2**n - 1 entries, and the receiver reads
+    y = 0 as 0 because x . 0 is always 0.
     """
     if n < 1:
         raise DomainError("need at least one input bit")
@@ -149,9 +156,11 @@ def simulate_ip_protocol(
     if any(b not in (0, 1) for b in (*x, *y)):
         raise DomainError("inputs must be bit strings")
     p = validate_exponent(p)
-    table = [
-        inner_product(x, other) for other in itertools.product((0, 1), repeat=n)
-    ]
+    # Entry k is x . y for the y with big-endian value k; each doubling
+    # prepends one more bit of y as the new most significant bit.
+    table = [0]
+    for bit in reversed(x):
+        table += [v ^ bit for v in table]
     carriers = _carriers_for(len(table))
     padded = table + [0] * (3**carriers - len(table))
     index = sum(bit << (n - 1 - i) for i, bit in enumerate(y)) + 1

@@ -404,7 +404,7 @@ def maximal_anticommuting_sets(
     return tuple(AntiCommutingSet(c) for c in _maximal_cliques(tuple(strings), 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cached_maximal_sets(strings: tuple[PauliString, ...]) -> tuple[AntiCommutingSet, ...]:
     return maximal_anticommuting_sets(strings)
 
@@ -412,7 +412,10 @@ def _cached_maximal_sets(strings: tuple[PauliString, ...]) -> tuple[AntiCommutin
 def cached_maximal_anticommuting_sets(
     strings: Sequence[PauliString],
 ) -> tuple[AntiCommutingSet, ...]:
-    """:func:`maximal_anticommuting_sets`, memoized by alphabet."""
+    """:func:`maximal_anticommuting_sets`, memoized by alphabet.
+
+    The cache keeps the 1024 most recently used alphabets.
+    """
     return _cached_maximal_sets(tuple(strings))
 
 

@@ -97,18 +97,23 @@ class IndexMap:
     Position i of ``addresses`` answers index i+1.  The three standard
     maps enumerate fiducial settings, all non-identity basis strings,
     or the full-support strings, each in lexicographic order; the
-    class accepts any address tuple for custom layouts.
+    class accepts any address tuple for custom layouts.  The settings
+    map is the identity on a compact table's sign vector: index j reads
+    ``signs[j-1]``, which is why the table encoders need no map unless
+    given a custom one.
     """
 
-    __slots__ = ("_addresses",)
+    __slots__ = ("_addresses", "_positions")
 
     def __init__(self, addresses: Sequence):
         addresses = tuple(addresses)
         if not addresses:
             raise DomainError("an index map needs at least one address")
-        if len(set(addresses)) != len(addresses):
+        positions = dict(zip(addresses, range(1, len(addresses) + 1)))
+        if len(positions) != len(addresses):
             raise ValidationError("index map addresses must be distinct")
         self._addresses = addresses
+        self._positions = positions
 
     @classmethod
     def settings_map(cls, n: int) -> "IndexMap":
@@ -137,19 +142,29 @@ class IndexMap:
 
     def index_of(self, address) -> int:
         try:
-            return self._addresses.index(address) + 1
-        except ValueError:
+            return self._positions[address]
+        except KeyError:
             raise DomainError(f"address {address!r} not in the map") from None
 
 
-def _bit_signs(bits: Sequence[int], expected: int, index_map: IndexMap) -> list[int]:
+def _encode_table(
+    bits: Sequence[int], n: int, lam: float, index_map: IndexMap | None
+) -> GnstState:
+    """Compact table with moment +-lam at each bit's setting."""
+    expected = 3**n
     if len(bits) != expected:
         raise DimensionError(f"need {expected} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValidationError("bits must be 0 or 1")
-    if index_map.size != expected:
-        raise DimensionError("index map size disagrees with the bit count")
-    return [(-1) ** bits[j] for j in range(expected)]
+    signs = [-1 if b else 1 for b in bits]
+    if index_map is not None:
+        if index_map.size != expected:
+            raise DimensionError("index map size disagrees with the bit count")
+        by_setting = {
+            address.labels: sign for address, sign in zip(index_map.addresses, signs)
+        }
+        signs = [by_setting[s.labels] for s in all_settings(n)]
+    return GnstState.compact(n, lam, signs)
 
 
 def rac_encode_gnst(
@@ -159,15 +174,11 @@ def rac_encode_gnst(
 
     The setting addressing bit j gets outcome product fixed at
     (-1)**bits[j]; all lighter moments vanish, so the table is
-    automatically normalized, positive, and no-signaling.
+    automatically normalized, positive, and no-signaling.  The default
+    map is the identity on the compact sign vector: bit j sets the sign
+    of the j-th setting in lexicographic order.
     """
-    index_map = index_map or IndexMap.settings_map(n)
-    signs = _bit_signs(bits, 3**n, index_map)
-    by_setting = {
-        index_map.address_of(j + 1).labels: signs[j] for j in range(len(signs))
-    }
-    ordered = [by_setting[s.labels] for s in all_settings(n)]
-    return GnstState.compact(n, 1.0, ordered)
+    return _encode_table(bits, n, 1.0, index_map)
 
 
 def rac_encode_pgnst(
@@ -175,8 +186,9 @@ def rac_encode_pgnst(
 ) -> GnstState:
     """The table code at exponent ``p``: strength (2n+1)**(-1/p).
 
-    That strength gives the recovery probability 1/2 + (2n+1)**(-1/p)/2
-    of :func:`rac_params`.  It saturates the power-sum relation only at
+    Addressing is that of :func:`rac_encode_gnst`.  The strength gives
+    the recovery probability 1/2 + (2n+1)**(-1/p)/2 of
+    :func:`rac_params`.  It saturates the power-sum relation only at
     n = 1, where X, Z and Y form a 3-member anti-commuting family.  For
     n >= 2 the largest anti-commuting family of full-support strings has
     fewer than 2n+1 members (3 at n = 2, 4 at n = 3), so the code keeps
@@ -184,13 +196,7 @@ def rac_encode_pgnst(
     and 1 - 4/7, about 0.43, at n = 3, for every finite p.
     """
     p = validate_exponent(p)
-    index_map = index_map or IndexMap.settings_map(n)
-    signs = _bit_signs(bits, 3**n, index_map)
-    by_setting = {
-        index_map.address_of(j + 1).labels: signs[j] for j in range(len(signs))
-    }
-    ordered = [by_setting[s.labels] for s in all_settings(n)]
-    return GnstState.compact(n, (2 * n + 1) ** (-1.0 / p), ordered)
+    return _encode_table(bits, n, (2 * n + 1) ** (-1.0 / p), index_map)
 
 
 def rac_encode_pbin(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -77,7 +78,7 @@ def all_outcomes(m: int) -> Iterator[OutcomeVector]:
         yield bits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiducialSetting:
     """One fiducial measurement label per system, each in {1, 2, 3}."""
 
@@ -109,8 +110,14 @@ class FiducialSetting:
         return iter(self.labels)
 
 
+@lru_cache(maxsize=16)
 def all_settings(n: int) -> tuple[FiducialSetting, ...]:
-    """All 3**n settings in lexicographic label order."""
+    """All 3**n settings in lexicographic label order.
+
+    The order is that of ``GnstState._setting_index``, so position i of
+    the tuple holds the setting whose compact sign is ``signs[i]``.
+    Memoized per n: every call returns the same immutable tuple.
+    """
     return tuple(
         FiducialSetting(labels) for labels in itertools.product((1, 2, 3), repeat=n)
     )

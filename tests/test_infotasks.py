@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from boxworld.errors import DimensionError, DomainError, ResourceError
@@ -82,6 +83,18 @@ class TestProtocolSimulation:
         )
         # per-retrieval success is 1/2 + (2*2+1)**(-1)/2 = 0.6
         assert hits > 100
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_exact_at_infinity_largest_inputs(self, n):
+        # 7 and 8 carriers: the largest truth tables the protocol builds.
+        rng = np.random.default_rng(1100 + n)
+        for _ in range(20):
+            x = [int(b) for b in rng.integers(0, 2, size=n)]
+            y = [int(b) for b in rng.integers(0, 2, size=n)]
+            assert simulate_ip_protocol(x, y) == inner_product(x, y)
+        ones = [1] * n
+        assert simulate_ip_protocol(ones, ones) == n & 1
+        assert simulate_ip_protocol(ones, [0] * n) == 0
 
     def test_size_gate(self):
         with pytest.raises(ResourceError):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxworld import oracle
+from boxworld import oracle, pauli
 from boxworld.errors import DimensionError, DomainError, ResourceError
 from boxworld.pauli import (
     AntiCommutingSet,
@@ -291,6 +291,10 @@ class TestAntiCommutingSets:
         a = sample_maximal_anticommuting_sets(alphabet, count=5, seed=3)
         b = sample_maximal_anticommuting_sets(alphabet, count=5, seed=3)
         assert a == b
+
+    def test_alphabet_cache_is_bounded(self):
+        info = pauli._cached_maximal_sets.cache_info()
+        assert info.maxsize is not None and info.maxsize > 0
 
     def test_construction_rejects_commuting_members(self):
         with pytest.raises(DomainError):

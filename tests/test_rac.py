@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from boxworld.errors import DimensionError, DomainError, ValidationError
@@ -90,6 +91,14 @@ class TestIndexMap:
         with pytest.raises(DomainError):
             m.index_of(FiducialSetting((1, 1)))
 
+    def test_index_of_every_standard_map(self):
+        for m in (
+            IndexMap.settings_map(3),
+            IndexMap.string_map(2),
+            IndexMap.full_support_map(2),
+        ):
+            assert [m.index_of(a) for a in m.addresses] == list(range(1, m.size + 1))
+
 
 class TestTableEncoding:
     def test_exhaustive_single_carrier(self):
@@ -131,6 +140,51 @@ class TestTableEncoding:
             rac_encode_gnst([0, 1, 2], 1)
         with pytest.raises(DimensionError):
             rac_encode_pgnst([0] * 4, 1, 2)
+        with pytest.raises(ValidationError):
+            rac_encode_pgnst([0, 1, 2], 1, 2)
+        with pytest.raises(ValidationError):
+            rac_encode_pgnst([0, -1, 1], 1, math.inf)
+        with pytest.raises(DimensionError):
+            rac_encode_gnst([0] * 9, 2, index_map=IndexMap.settings_map(1))
+
+
+class TestIdentityDefaultMap:
+    """The default encoders skip the map: it is the identity on the signs."""
+
+    @staticmethod
+    def _samples(n):
+        rng = np.random.default_rng(n)
+        yield [0] * 3**n
+        yield [1] * 3**n
+        for _ in range(3):
+            yield [int(b) for b in rng.integers(0, 2, size=3**n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gnst_default_equals_settings_map(self, n):
+        explicit = IndexMap.settings_map(n)
+        for bits in self._samples(n):
+            assert rac_encode_gnst(bits, n) == rac_encode_gnst(bits, n, explicit)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_pgnst_default_equals_settings_map(self, n, p):
+        explicit = IndexMap.settings_map(n)
+        for bits in self._samples(n):
+            assert rac_encode_pgnst(bits, n, p) == rac_encode_pgnst(bits, n, p, explicit)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_default_decode_equals_settings_map(self, n):
+        explicit = IndexMap.settings_map(n)
+        bits = list(self._samples(n))[-1]
+        for state in (rac_encode_gnst(bits, n), rac_encode_pgnst(bits, n, 2)):
+            for j in range(1, 3**n + 1):
+                assert rac_decode(state, j) == rac_decode(state, j, explicit)
+
+    def test_custom_map_relabels_signs(self):
+        bits = [0, 1, 1, 0, 1, 0, 0, 1, 1]
+        reversed_map = IndexMap(tuple(all_settings(2))[::-1])
+        state = rac_encode_gnst(bits, 2, reversed_map)
+        assert state.signs == tuple(1 - 2 * b for b in reversed(bits))
 
 
 class TestCoefficientEncoding:

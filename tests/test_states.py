@@ -80,6 +80,21 @@ class TestFiducialSetting:
         assert labels[:4] == [(1, 1), (1, 2), (1, 3), (2, 1)]
         assert len(labels) == 9
 
+    def test_all_settings_is_cached(self):
+        assert all_settings(3) is all_settings(3)
+        assert all_settings.cache_info().maxsize is not None
+
+    def test_all_settings_follow_compact_sign_order(self):
+        state = GnstState.compact(3, 1.0, [1] * 27)
+        positions = [state._setting_index(s) for s in all_settings(3)]
+        assert positions == list(range(27))
+
+    def test_setting_has_slots(self):
+        s = FiducialSetting((1, 2))
+        assert not hasattr(s, "__dict__")
+        with pytest.raises(AttributeError):
+            s.labels = (2, 1)
+
 
 class TestCoefficientState:
     def test_identity_key_rejected(self):
