@@ -8,8 +8,14 @@ and positive-semidefiniteness of the density matrix reconstructed from
 the moments is the top of the ladder.  ``classify_state`` reads the
 state's moments once, as a :class:`MomentTable`, walks the levels in
 order on that table and reports the first failure.  Both positivity
-rungs take the smallest eigenvalue of the group matrix ``mu[i xor j]``
-that :func:`moment_matrix` builds from a collection's subset moments.
+rungs take the smallest eigenvalue of a collection's group matrix
+``mu[i xor j]`` (:func:`moment_matrix`), which is the minimum of the
+Walsh-Hadamard transform of its subset moments ``mu``.  Each rung keeps
+one plan per n, the dense-vector index and sign of every subset product
+of every collection, so a state's moments are read once into a vector
+and the collections of each size are transformed in one matrix product.
+The maximal commuting collections are generated as Lagrangian subspaces
+(:func:`maximal_commuting_sets`).
 
 Every report follows one margin convention: a check passes iff its
 margin is at least ``-tol``.  Uncertainty margins are ``1 - worst power
@@ -22,21 +28,20 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    IncompleteMomentError,
-    ResourceError,
-)
+from .errors import DomainError, ResourceError
 from .pauli import (
+    MAX_COMMUTING_SYSTEMS,
     PauliString,
-    cached_maximal_anticommuting_sets,
+    cached_anticommuting_families,
     commutes,
     gamma_set,
     maximal_commuting_sets,
+    pauli_product,
     product_of,
     sample_maximal_anticommuting_sets,
 )
@@ -167,6 +172,22 @@ def _conjugation_circuits(n: int, count: int, seed: int) -> list[CliffordCircuit
     return out
 
 
+@lru_cache(maxsize=16)
+def _canonical_families(n: int, samples: int, seed: int) -> tuple[tuple[PauliString, ...], ...]:
+    """The ladder set and its distinct images under ``samples`` seeded
+    random Clifford circuits, in circuit order."""
+    ladder = tuple(gamma_set(n))
+    families = [ladder]
+    seen = {frozenset(g.basis_key() for g in ladder)}
+    for circuit in _conjugation_circuits(n, samples, seed):
+        image = tuple(conjugate_pauli(circuit, g).canonical() for g in ladder)
+        key = frozenset(g.basis_key() for g in image)
+        if key not in seen:
+            seen.add(key)
+            families.append(image)
+    return tuple(families)
+
+
 def check_p_uncertainty(
     state: StateLike,
     p: float,
@@ -230,30 +251,22 @@ def check_p_uncertainty(
                 f"exhaustive mode is limited to {MAX_EXHAUSTIVE_STRINGS} strings "
                 f"with non-zero moments, got {len(alphabet)}"
             )
-        sets = cached_maximal_anticommuting_sets(alphabet) if alphabet else ()
-        families = [tuple(s) for s in sets]
+        families = cached_anticommuting_families(alphabet) if alphabet else ()
     elif mode == "randomized":
         families = [
             tuple(s)
             for s in sample_maximal_anticommuting_sets(alphabet, samples, seed)
         ]
     elif mode == "canonical":
-        families = [tuple(gamma_set(n))]
-        seen = {frozenset(g.basis_key() for g in families[0])}
-        for circuit in _conjugation_circuits(n, samples, seed):
-            image = tuple(
-                conjugate_pauli(circuit, g).canonical() for g in gamma_set(n)
-            )
-            key = frozenset(g.basis_key() for g in image)
-            if key not in seen:
-                seen.add(key)
-                families.append(image)
+        families = _canonical_families(n, samples, seed)
     else:
         raise DomainError(f"unknown mode {mode!r}")
 
+    # A string outside the alphabet has a zero or unknown moment: it adds 0.
+    weight = {s.basis_key(): abs(table.value(s)) ** p for s in alphabet}
     worst_sum, worst = 0.0, ()
     for family in families:
-        total = sum(abs(table.value(s)) ** p for s in family if table.has(s))
+        total = sum(weight.get(s.basis_key(), 0.0) for s in family)
         if total > worst_sum:
             worst_sum = total
             worst = tuple(s.canonical().text() for s in family)
@@ -390,31 +403,106 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
             yield choice
 
 
-def _positivity_report(
-    constraint: str,
-    table: MomentTable,
-    collections: Iterable[tuple[Sequence[PauliString], Sequence[PauliString]]],
-    tol: float,
-) -> ValidationReport:
-    """Smallest moment-matrix eigenvalue over (collection, members) pairs.
+def _group_elements(members: Sequence[PauliString]) -> list[PauliString]:
+    """The group, up to sign, that pairwise commuting members generate.
 
-    The worst pair's members name the report's worst set.  Collections
-    the table leaves undetermined are skipped and counted.
+    Every member outside the span so far doubles the list with its
+    products, so bit k of an element's index names the k-th independent
+    generator and the moment matrix over the elements is ``mu[i xor j]``.
     """
-    worst_eig, worst = math.inf, ()
-    evaluated = skipped = 0
-    for collection, members in collections:
-        try:
-            k = moment_matrix(collection, table)
-        except IncompleteMomentError:
-            skipped += 1
-            continue
-        evaluated += 1
-        smallest = float(np.linalg.eigvalsh(k)[0])
-        if smallest < worst_eig:
-            worst_eig = smallest
-            worst = tuple(s.text() for s in members)
-    margin = 1.0 if evaluated == 0 else worst_eig
+    elements = [PauliString.identity(members[0].n)]
+    span = {(0, 0)}
+    for s in members:
+        if s.basis_key() not in span:
+            doubled = [pauli_product(e, s) for e in elements]
+            span.update(e.basis_key() for e in doubled)
+            elements += doubled
+    return elements
+
+
+def _characters(size: int) -> np.ndarray:
+    """Signs (-1)**popcount(i & k) for i, k below ``size``, a power of 2.
+
+    Column k is a character of Z_2^m, so ``mu @ _characters(len(mu))``
+    is the spectrum of the group matrix ``mu[i xor j]``: its
+    Walsh-Hadamard transform.
+    """
+    signs = np.ones((1, 1))
+    while len(signs) < size:
+        signs = np.block([[signs, signs], [signs, -signs]])
+    return signs
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The collections of one positivity rung at one n, as arrays.
+
+    ``named`` holds the collections in report order.  Each group holds
+    the collections whose groups have the same size 2**m: their rows in
+    ``named``, the index into :meth:`MomentTable.vector` and the sign of
+    every group element, and the characters of Z_2^m.
+    """
+
+    named: tuple[tuple[PauliString, ...], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+def _plan(named: Sequence[tuple[PauliString, ...]]) -> _Plan:
+    by_size: dict[int, list] = {}
+    for row, members in enumerate(named):
+        elements = _group_elements(members)
+        by_size.setdefault(len(elements), []).append(
+            (row, [e.a | e.b << e.n for e in elements], [e.hermitian_sign() for e in elements])
+        )
+    groups = []
+    for size, entries in sorted(by_size.items()):
+        rows, idx, signs = zip(*entries)
+        groups.append(
+            (
+                np.array(rows, dtype=np.int32),
+                np.array(idx, dtype=np.int16),  # 4**n <= 1024 entries
+                np.array(signs, dtype=np.int8),
+                _characters(size),
+            )
+        )
+    return _Plan(tuple(named), tuple(groups))
+
+
+@lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
+def _local_plan(n: int) -> _Plan:
+    return _plan(tuple(disjoint_support_collections(n)))
+
+
+@lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
+def _commuting_plan(n: int) -> _Plan:
+    return _plan(maximal_commuting_sets(n))
+
+
+def _positivity_report(
+    constraint: str, table: MomentTable, plan: _Plan, tol: float
+) -> ValidationReport:
+    """Smallest group-matrix eigenvalue over a plan's collections.
+
+    Each collection's subset moments are read from the table's moment
+    vector; their Walsh-Hadamard transform is the spectrum.  Collections
+    the table leaves undetermined (a NaN moment) are skipped and
+    counted.  The first collection reaching the minimum names the
+    report's worst set.
+    """
+    vec = table.vector()
+    smallest = np.full(len(plan.named), np.inf)
+    skipped = 0
+    for rows, idx, signs, characters in plan.groups:
+        mu = signs * vec[idx]
+        known = ~np.isnan(mu).any(axis=1)
+        skipped += len(rows) - int(known.sum())
+        smallest[rows[known]] = (mu[known] @ characters).min(axis=1)
+    evaluated = len(plan.named) - skipped
+    margin, worst = 1.0, ()
+    if evaluated:
+        row = int(np.argmin(smallest))
+        margin = float(smallest[row])
+        worst = tuple(s.text() for s in plan.named[row])
     return ValidationReport(
         constraint,
         margin >= -tol,
@@ -429,8 +517,13 @@ def check_local_moments(
 ) -> ValidationReport:
     """Positivity of moment matrices over disjoint-support collections.
 
-    Collections the state leaves undetermined (possible for partial
-    probability tables) are skipped and counted in the report detail.
+    A collection of m strings on disjoint supports generates a group of
+    2**m signed strings; the smallest eigenvalue of its moment matrix
+    ``mu[i xor j]`` is the minimum of the Walsh-Hadamard transform of
+    the subset moments ``mu``.  All collections of one n are evaluated
+    together from one moment vector.  Collections the state leaves
+    undetermined (possible for partial probability tables) are skipped
+    and counted in the report detail.
 
     Raises:
         ResourceError: beyond five systems.
@@ -440,19 +533,7 @@ def check_local_moments(
         raise ResourceError(
             f"local moment check is limited to n <= {MAX_LOCAL_SYSTEMS}"
         )
-    collections = disjoint_support_collections(table.n)
-    return _positivity_report("local-moments", table, ((c, c) for c in collections), tol)
-
-
-def _generators(members: Sequence[PauliString]) -> list[PauliString]:
-    """Members whose subset products give every member up to sign: each
-    one chosen lies outside the span of those chosen before it."""
-    span, out = {(0, 0)}, []
-    for s in members:
-        if s.basis_key() not in span:
-            out.append(s)
-            span |= {(a ^ s.a, b ^ s.b) for a, b in span}
-    return out
+    return _positivity_report("local-moments", table, _local_plan(table.n), tol)
 
 
 def check_commuting_moments(
@@ -460,17 +541,19 @@ def check_commuting_moments(
 ) -> ValidationReport:
     """Positivity of moment matrices over maximal commuting collections.
 
-    A maximal collection is a group up to sign, so its moment matrix is
-    the group matrix of n independent generators, whose subset products
-    are the identity and every member.  The worst set lists every
-    member.  Undetermined collections are skipped.
+    A maximal collection is a Lagrangian subspace, a group up to sign,
+    so its moment matrix is the group matrix of n independent
+    generators, whose subset products are the identity and every
+    member; its spectrum is the Walsh-Hadamard transform of those 2**n
+    subset moments.  All collections are evaluated together from one
+    moment vector.  The worst set lists every member.  Undetermined
+    collections are skipped.
 
     Raises:
         ResourceError: beyond four systems.
     """
     table = _moment_table(state)
-    collections = ((_generators(m), m) for m in maximal_commuting_sets(table.n))
-    return _positivity_report("commuting-moments", table, collections, tol)
+    return _positivity_report("commuting-moments", table, _commuting_plan(table.n), tol)
 
 
 def _density_matrix(table: MomentTable) -> np.ndarray:

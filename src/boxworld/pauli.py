@@ -37,6 +37,7 @@ __all__ = [
     "hermitian_basis",
     "full_support_strings",
     "maximal_anticommuting_sets",
+    "cached_anticommuting_families",
     "cached_maximal_anticommuting_sets",
     "maximal_commuting_sets",
     "enumerate_anticommuting_sets",
@@ -405,28 +406,72 @@ def maximal_anticommuting_sets(
 
 
 @lru_cache(maxsize=1024)
-def _cached_maximal_sets(strings: tuple[PauliString, ...]) -> tuple[AntiCommutingSet, ...]:
-    return maximal_anticommuting_sets(strings)
+def _cached_maximal_sets(n: int, keys: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`maximal_anticommuting_sets` of the strings with packed
+    exponents ``a | b << n``, one member mask per set (bit i stands for
+    ``keys[i]``).  Masks and packed keys keep an entry several times
+    smaller than the sets themselves."""
+    strings = tuple(PauliString.hermitian(n, k & (1 << n) - 1, k >> n) for k in keys)
+    # Members are these very objects, so identity finds their positions
+    # even where two keys repeat.
+    bit = {id(s): 1 << i for i, s in enumerate(strings)}
+    return tuple(sum(bit[id(s)] for s in c) for c in maximal_anticommuting_sets(strings))
+
+
+def cached_anticommuting_families(
+    strings: Sequence[PauliString],
+) -> tuple[tuple[PauliString, ...], ...]:
+    """The members of every :func:`maximal_anticommuting_sets` set,
+    memoized by alphabet.
+
+    The cache keeps the 1024 most recently used alphabets.  Phases do
+    not enter the key; every family is built from ``strings`` itself.
+
+    Raises:
+        DimensionError: if the strings act on different system counts.
+    """
+    strings = tuple(strings)
+    n = strings[0].n if strings else 1
+    if any(s.n != n for s in strings):
+        raise DimensionError("mixed system counts in the alphabet")
+    out = []
+    for mask in _cached_maximal_sets(n, tuple(s.a | s.b << n for s in strings)):
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(strings[low.bit_length() - 1])
+            mask ^= low
+        out.append(tuple(members))
+    return tuple(out)
 
 
 def cached_maximal_anticommuting_sets(
     strings: Sequence[PauliString],
 ) -> tuple[AntiCommutingSet, ...]:
-    """:func:`maximal_anticommuting_sets`, memoized by alphabet.
-
-    The cache keeps the 1024 most recently used alphabets.
-    """
-    return _cached_maximal_sets(tuple(strings))
+    """:func:`maximal_anticommuting_sets`, memoized by alphabet through
+    :func:`cached_anticommuting_families`."""
+    return tuple(AntiCommutingSet(c) for c in cached_anticommuting_families(strings))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
 def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
     """All maximal pairwise commuting collections of non-identity strings.
 
     Each is closed under products up to sign: the product of two members
     commutes with every member, so maximality forces it back into the
-    collection.  On ``n`` systems every such collection has 2**n - 1
-    members.
+    collection.  A collection is therefore a Lagrangian subspace of the
+    symplectic space without its zero; it has 2**n - 1 members, and
+    there are prod over k = 1..n of (2**k + 1) collections (Aaronson and
+    Gottesman, quant-ph/0406196).
+
+    The subspaces are generated directly, on packed exponents
+    ``a | b << n``.  Each has one greedy basis g_1 < ... < g_n, where
+    g_k is the smallest element outside the span of the earlier ones;
+    equivalently every g_k is larger than g_(k-1), commutes with the
+    earlier ones and has none of their top bits set.  A depth-first
+    search over exactly those choices reaches each subspace once.
+    Members follow :func:`hermitian_basis` order and the collections
+    are sorted by their letters.
 
     Raises:
         ResourceError: beyond four systems.
@@ -435,7 +480,34 @@ def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
         raise ResourceError(
             f"commuting-set enumeration is limited to n <= {MAX_COMMUTING_SYSTEMS}"
         )
-    return tuple(_maximal_cliques(tuple(hermitian_basis(n)), 0))
+    basis = tuple(hermitian_basis(n, include_identity=True))
+    position = [0] * len(basis)
+    for i, s in enumerate(basis):
+        position[s.a | s.b << n] = i
+    low = (1 << n) - 1
+    spans: list[list[int]] = []
+
+    def search(span: list[int], candidates: list[int], depth: int) -> None:
+        if depth == n:
+            spans.append(span)
+            return
+        for i, g in enumerate(candidates):
+            if len(candidates) - i < n - depth:  # too few left for a basis
+                return
+            twin = g >> n | (g & low) << n  # v commutes with g iff v & twin is even
+            top = 1 << g.bit_length() - 1
+            rest = [
+                v
+                for v in candidates[i + 1 :]
+                if not v & top and not (v & twin).bit_count() & 1
+            ]
+            search(span + [s ^ g for s in span], rest, depth + 1)
+
+    search([0], list(range(1, len(basis))), 0)
+    sets = [sorted(map(position.__getitem__, span))[1:] for span in spans]
+    letters = [s.letters() for s in basis]
+    sets.sort(key=lambda members: [letters[i] for i in members])
+    return tuple(tuple(basis[i] for i in members) for members in sets)
 
 
 def enumerate_anticommuting_sets(n: int) -> tuple[AntiCommutingSet, ...]:

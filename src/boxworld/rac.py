@@ -223,13 +223,31 @@ def rac_encode_pbin(
     return CoefficientState(n, coeffs)
 
 
-def _default_coefficient_map(state: CoefficientState) -> IndexMap:
-    # Encoder outputs store every addressed coefficient, so all keys
-    # having full support identifies the restricted layout.
-    full = (1 << state.n) - 1
-    if state.keys() and all((a | b) == full for a, b in state.keys()):
-        return IndexMap.full_support_map(state.n)
-    return IndexMap.string_map(state.n)
+def _default_coefficient_address(state: CoefficientState, j: int) -> PauliString:
+    """The j-th string of the default coefficient map, built from the
+    digits of j, system 0 most significant.
+
+    The unrestricted layout (:func:`hermitian_basis` order) reads j in
+    base 4 over I, X, Z, Y; the full-support layout
+    (:func:`full_support_strings` order) reads j - 1 in base 3 over X,
+    Z, Y.  Encoder outputs store every addressed coefficient, so all
+    keys having full support identifies the full-support layout.
+    """
+    n, keys = state.n, state.keys()
+    full = (1 << n) - 1
+    if keys and all((a | b) == full for a, b in keys):
+        base, offset, size = 3, 1, 3**n
+    else:
+        base, offset, size = 4, 0, 4**n - 1
+    if not 1 <= j <= size:
+        raise DomainError(f"index {j} outside 1..{size}")
+    rest, a, b = j - offset, 0, 0
+    for i in reversed(range(n)):
+        rest, digit = divmod(rest, base)
+        digit += offset
+        a |= (digit & 1) << i
+        b |= (digit >> 1) << i
+    return PauliString.hermitian(n, a, b)
 
 
 def rac_decode(
@@ -250,8 +268,10 @@ def rac_decode(
             raise DomainError("table states need setting addresses")
         moment = state.setting_moment(address)
     elif isinstance(state, CoefficientState):
-        index_map = index_map or _default_coefficient_map(state)
-        address = index_map.address_of(j)
+        if index_map is None:
+            address = _default_coefficient_address(state, j)
+        else:
+            address = index_map.address_of(j)
         if not isinstance(address, PauliString):
             raise DomainError("coefficient states need string addresses")
         moment = state.expectation(address)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DimensionError,
     DomainError,
@@ -690,6 +692,18 @@ class MomentTable:
                 )
             return 0.0
         return sign * self._values[key]
+
+    def vector(self) -> np.ndarray:
+        """Every moment in one array, indexed by ``a | b << n``.
+
+        Entry 0 is the identity's moment, 1.  Absent strings read NaN in
+        a strict table and 0 otherwise.
+        """
+        out = np.full(1 << 2 * self._n, np.nan if self._strict else 0.0)
+        out[0] = 1.0
+        for (a, b), value in self._values.items():
+            out[a | b << self._n] = value
+        return out
 
     def value_of_collection(self, collection: Sequence[PauliString]) -> float:
         """Moment of the product of a pairwise commuting collection."""

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import boxworld
 from boxworld.cli import ExperimentConfig, main, run_named, run_psphere, run_summary_table
 from boxworld.errors import DomainError
 from boxworld.games import chsh_win_probability
@@ -306,3 +311,30 @@ class TestSeedEnvironment:
             env={"BOXWORLD_SEED": "pi"},
         )
         assert result.exit_code == 2
+
+
+class TestImportIsLazy:
+    def test_import_fills_no_program_cache(self):
+        # A fresh interpreter, so no earlier test has filled a cache.
+        code = (
+            "import json, boxworld.cli\n"
+            "from boxworld import constraints, pauli\n"
+            "caches = [pauli.maximal_commuting_sets, pauli._cached_maximal_sets,\n"
+            "          constraints._local_plan, constraints._commuting_plan,\n"
+            "          constraints._canonical_families]\n"
+            "print(json.dumps([c.cache_info()._asdict() for c in caches]))\n"
+        )
+        src = str(Path(boxworld.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        infos = json.loads(out.stdout)
+        assert len(infos) == 5
+        for info in infos:
+            assert info["currsize"] == 0
+            assert info["maxsize"] is not None and info["maxsize"] > 0

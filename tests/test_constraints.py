@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from boxworld.states import (
     CoefficientState,
     GnstState,
     MomentTable,
+    all_settings,
     apply_clifford,
     moments_from_probabilities,
     pr_box_state,
@@ -283,6 +285,117 @@ def ladder_families(n, rng):
         yield rac_encode_pgnst(bits(3**n), n, p)
     if n == 2:
         yield pr_box_state()
+
+
+def independent_members(members):
+    """Members outside the span of those before them: generators of the
+    group, up to sign, that a maximal commuting collection forms."""
+    span, out = {(0, 0)}, []
+    for s in members:
+        if s.basis_key() not in span:
+            out.append(s)
+            span |= {(a ^ s.a, b ^ s.b) for a, b in span}
+    return out
+
+
+_RUNG_COLLECTIONS = {}
+
+
+def rung_collections(rung, n):
+    """(worst-set text, subset products) of every collection of a rung,
+    one collection at a time through ``_collection_products``."""
+    if (rung, n) not in _RUNG_COLLECTIONS:
+        if rung == "local":
+            pairs = [(c, c) for c in disjoint_support_collections(n)]
+        else:
+            pairs = [(m, independent_members(m)) for m in maximal_commuting_sets(n)]
+        _RUNG_COLLECTIONS[rung, n] = [
+            (tuple(s.text() for s in named), constraints._collection_products(gens))
+            for named, gens in pairs
+        ]
+    return _RUNG_COLLECTIONS[rung, n]
+
+
+def oracle_rung(rung, state):
+    """Smallest moment-matrix eigenvalue of every determined collection,
+    keyed by its worst-set text, and the number skipped: the Jacobi
+    oracle up to n = 3, LAPACK at n = 4."""
+    table = constraints._moment_table(state)
+    if table.n <= 3:
+        smallest = oracle.min_eigenvalue
+    else:
+        smallest = lambda k: float(np.linalg.eigvalsh(k)[0])
+    eigs, skipped = {}, 0
+    for name, products in rung_collections(rung, table.n):
+        try:
+            mu = np.array([table.value(s) for s in products])
+        except IncompleteMomentError:
+            skipped += 1
+            continue
+        idx = np.arange(len(mu))
+        eigs[name] = smallest(mu[idx[:, None] ^ idx[None, :]])
+    return eigs, skipped
+
+
+def dropped_setting_tables(n, rng):
+    """Strict tables of a quantum state's moments under a random half of
+    the fiducial settings: what a table measured on those settings holds."""
+    settings = all_settings(n)
+    for _ in range(2):
+        quantum = oracle.random_quantum_state(n, rng)
+        values = {}
+        for i in rng.choice(len(settings), size=max(1, len(settings) // 2), replace=False):
+            for r in range(1, n + 1):
+                for subset in itertools.combinations(range(n), r):
+                    key = settings[i].subset_pauli(subset).basis_key()
+                    values[key] = quantum.coefficient(*key)
+        yield MomentTable(n, values, strict=True)
+
+
+class TestBatchedRungs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rungs_match_oracle(self, n, rng):
+        corpus = [*ladder_families(n, rng), *dropped_setting_tables(n, rng)]
+        for state in corpus:
+            for rung, check in (
+                ("local", check_local_moments),
+                ("commuting", check_commuting_moments),
+            ):
+                report = check(state)
+                eigs, skipped = oracle_rung(rung, state)
+                assert report.detail == {"collections": len(eigs), "skipped": skipped}
+                assert abs(report.margin - min(eigs.values(), default=1.0)) <= 1e-12
+                if eigs:
+                    assert abs(eigs[report.worst_set] - report.margin) <= 1e-12
+                else:
+                    assert report.worst_set == ()
+
+    def test_pr_box_counts(self):
+        report = check_local_moments(pr_box_state())
+        assert report.detail == {"collections": 8, "skipped": 10}
+        assert report.margin == 0.0
+
+    def test_reference_matrix_is_moment_matrix(self, rng):
+        state = oracle.random_quantum_state(3, rng)
+        table = constraints._moment_table(state)
+        for members in maximal_commuting_sets(3)[:5]:
+            gens = independent_members(members)
+            mu = np.array([table.value(s) for s in constraints._collection_products(gens)])
+            idx = np.arange(len(mu))
+            assert np.array_equal(mu[idx[:, None] ^ idx[None, :]], moment_matrix(gens, state))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_walsh_hadamard_spectrum(self, m, rng):
+        size = 1 << m
+        characters = constraints._characters(size)
+        assert np.array_equal(characters, np.sign(oracle.hadamard_sign_matrix(m)))
+        idx = np.arange(size)
+        for _ in range(5):
+            mu = rng.uniform(-1.0, 1.0, size)
+            expected = np.linalg.eigvalsh(mu[idx[:, None] ^ idx[None, :]])
+            through_oracle = math.sqrt(size) * oracle.hadamard_sign_matrix(m) @ mu
+            assert np.allclose(np.sort(mu @ characters), expected, rtol=0, atol=1e-12)
+            assert np.allclose(np.sort(through_oracle), expected, rtol=0, atol=1e-12)
 
 
 class TestLadderPaths:

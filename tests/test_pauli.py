@@ -296,6 +296,21 @@ class TestAntiCommutingSets:
         info = pauli._cached_maximal_sets.cache_info()
         assert info.maxsize is not None and info.maxsize > 0
 
+    def test_cached_families_match_uncached_sets(self):
+        # a negated duplicate: the cache keys drop phases, the families keep them
+        alphabet = tuple(hermitian_basis(2)) + (-PauliString.from_text("XZ"),)
+        expected = maximal_anticommuting_sets(alphabet)
+        assert pauli.cached_anticommuting_families(alphabet) == tuple(
+            tuple(s) for s in expected
+        )
+        assert pauli.cached_maximal_anticommuting_sets(alphabet) == expected
+
+    def test_cached_families_reject_mixed_systems(self):
+        with pytest.raises(DimensionError):
+            pauli.cached_anticommuting_families(
+                (PauliString.from_text("X"), PauliString.from_text("XZ"))
+            )
+
     def test_construction_rejects_commuting_members(self):
         with pytest.raises(DomainError):
             AntiCommutingSet(
@@ -311,3 +326,30 @@ class TestAntiCommutingSets:
         big = members + (PauliString.from_text("X"),)
         with pytest.raises(DomainError):
             AntiCommutingSet(big)
+
+
+class TestLagrangianEnumeration:
+    @pytest.mark.parametrize("n,count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
+    def test_equals_clique_reference(self, n, count):
+        sets = pauli.maximal_commuting_sets(n)
+        assert len(sets) == count == np.prod([2**k + 1 for k in range(1, n + 1)])
+        assert sets == tuple(pauli._maximal_cliques(tuple(hermitian_basis(n)), 0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sets_are_closed_commuting_subspaces(self, n):
+        for members in pauli.maximal_commuting_sets(n):
+            assert len(members) == 2**n - 1
+            keys = {s.basis_key() for s in members}
+            assert len(keys) == len(members)
+            for i, s in enumerate(members):
+                for t in members[i + 1 :]:
+                    assert commutes(s, t)
+                    assert pauli_product(s, t).basis_key() in keys
+
+    def test_gate_raises_before_enumerating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(pauli, "hermitian_basis", refuse)
+        with pytest.raises(ResourceError):
+            pauli.maximal_commuting_sets(5)

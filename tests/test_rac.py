@@ -8,6 +8,7 @@ from boxworld.errors import DimensionError, DomainError, ValidationError
 from boxworld.pauli import PauliString, full_support_strings, hermitian_basis
 from boxworld.rac import (
     IndexMap,
+    _default_coefficient_address,
     RacParams,
     binary_entropy,
     nayak_bound,
@@ -220,6 +221,19 @@ class TestCoefficientEncoding:
             rac_encode_pbin([0] * 15, 2, 2, restrict_to_xyz=True)
         with pytest.raises(ValidationError):
             rac_encode_pbin([0, 1, 7], 1, 2)
+
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_default_address_equals_standard_map(self, restrict):
+        for n in range(1, 5):
+            standard = IndexMap.full_support_map(n) if restrict else IndexMap.string_map(n)
+            bits = [j % 2 for j in range(standard.size)]
+            state = rac_encode_pbin(bits, n, 2, restrict_to_xyz=restrict)
+            for j in range(1, standard.size + 1):
+                assert _default_coefficient_address(state, j) == standard.address_of(j)
+                assert rac_decode(state, j)[0] == bits[j - 1]
+            for j in (0, standard.size + 1):
+                with pytest.raises(DomainError, match=f"index {j} outside 1..{standard.size}"):
+                    rac_decode(state, j)
 
     def test_decode_rejects_mismatched_addresses(self):
         state = rac_encode_pbin([0, 1, 0], 1, 2)
