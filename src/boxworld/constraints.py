@@ -1,7 +1,8 @@
 """Validity checkers: uncertainty relations and moment-matrix positivity.
 
 The checks form a hierarchy.  The p-uncertainty relation bounds the
-power sum of moments over every pairwise anti-commuting set; positivity
+power sum of moments over every pairwise anti-commuting set; up to four
+systems a maximum-weight clique search finds the worst one.  Positivity
 of moment matrices over disjoint-support collections tightens it; the
 same condition over maximal commuting collections tightens it further;
 and positive-semidefiniteness of the density matrix reconstructed from
@@ -37,7 +38,6 @@ from .errors import DomainError, ResourceError
 from .pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
-    cached_anticommuting_families,
     commutes,
     gamma_set,
     maximal_commuting_sets,
@@ -79,9 +79,6 @@ __all__ = [
     "validate_gnst",
 ]
 
-# Exhaustive clique enumeration over the moment alphabet is refused
-# beyond this many strings; canonical or randomized mode applies there.
-MAX_EXHAUSTIVE_STRINGS = 100
 MAX_LOCAL_SYSTEMS = 5
 MAX_COLLECTION_SIZE = 12
 
@@ -188,6 +185,55 @@ def _canonical_families(n: int, samples: int, seed: int) -> tuple[tuple[PauliStr
     return tuple(families)
 
 
+def _heaviest_anticommuting_set(
+    n: int, keys: Sequence[int], weight: Sequence[float]
+) -> tuple[float, list[int], int]:
+    """The pairwise anti-commuting subset of ``keys`` (packed exponents
+    ``a | b << n``) with the largest total ``weight``, its members and
+    the number of anti-commuting sets examined.
+
+    The set is a maximum-weight clique of the anti-commutation graph,
+    found by branch and bound (Carraghan and Pardalos, Oper. Res. Lett.
+    9, 1990; Ostergard, Discrete Appl. Math. 120, 2002).  Vertices are
+    taken heaviest first.  No more than 2n + 1 strings pairwise
+    anti-commute, so a branch is pruned once its weight plus its
+    2n + 1 - |clique| heaviest candidates cannot beat the best set
+    found.  Every path adds weights heaviest first, as the bound does,
+    so the pruning is exact in floating point.
+    """
+    keys = sorted(keys, key=weight.__getitem__, reverse=True)
+    w = [weight[k] for k in keys]
+    packed = np.array(keys, dtype=np.uint8)  # n <= 4: every key is below 4**4
+    a, b = packed & (1 << n) - 1, packed >> n
+    odd = (a[:, None] & b) ^ (b[:, None] & a)
+    odd ^= odd >> 2  # fold the parity of the (at most four) bits into bit 0
+    odd ^= odd >> 1
+    rows = np.packbits(odd & 1, axis=1, bitorder="little")
+    data, width = rows.tobytes(), rows.shape[1]
+    adj = [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(keys))]
+    best, best_mask, examined = 0.0, 0, 0
+
+    def extend(total: float, mask: int, candidates: int, room: int) -> None:
+        nonlocal best, best_mask, examined
+        while candidates:
+            bound, rest = total, candidates
+            for _ in range(min(room, rest.bit_count())):
+                bound += w[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            if bound <= best:
+                return
+            v = (candidates & -candidates).bit_length() - 1
+            grown, grown_mask = total + w[v], mask | 1 << v
+            examined += 1
+            if grown > best:
+                best, best_mask = grown, grown_mask
+            extend(grown, grown_mask, candidates & adj[v], room - 1)
+            candidates &= candidates - 1
+
+    extend(0.0, 0, (1 << len(keys)) - 1, 2 * n + 1)
+    return best, [k for i, k in enumerate(keys) if best_mask >> i & 1], examined
+
+
 def check_p_uncertainty(
     state: StateLike,
     p: float,
@@ -207,76 +253,75 @@ def check_p_uncertainty(
           ``samples`` of its images under seeded random Clifford
           circuits.  A violation search, not a proof of validity;
           unknown moments count as 0.
-        * ``exhaustive``: every maximal anti-commuting subset of the
-          strings with known non-zero moments.  Complete, since zero
-          moments contribute nothing to any power sum and every
-          anti-commuting set's sum is dominated by a maximal one over
-          the non-zero alphabet.
+        * ``exhaustive``: the heaviest pairwise anti-commuting subset of
+          the strings with known non-zero moments, by a maximum-weight
+          clique search.  A proof, since zero and unknown moments add
+          nothing to any power sum.  The report's ``sets`` counts the
+          anti-commuting sets the search examined.
         * ``randomized``: ``samples`` greedy random maximal sets over
           the known alphabet.
-        * ``auto``: exhaustive when the alphabet allows it, else
-          canonical.
+        * ``auto``: exhaustive up to four systems, else canonical.
 
     Raises:
         DomainError: for p < 1 or an unknown mode.
-        ResourceError: exhaustive mode on an oversized alphabet.
+        ResourceError: exhaustive mode beyond four systems.
     """
     p = validate_exponent(p)
     table = _moment_table(state)
     n = table.n
-    alphabet = tuple(s for s in table.strings() if table.value(s) != 0.0)
+    # Indexed by packed key a | b << n.  An unknown (NaN) moment adds
+    # nothing to a power sum, as a zero one does; entry 0 is the identity.
+    moments = np.fmax(np.abs(table.vector()), 0.0)
+    moments[0] = 0.0
+    keys = np.flatnonzero(moments).tolist()
 
     if p == math.inf:
-        # All modes coincide: the worst set is a single worst string.
-        worst_abs, worst = 0.0, ()
-        for s in alphabet:
-            value = abs(table.value(s))
-            if value > worst_abs:
-                worst_abs, worst = value, (s.text(),)
+        # All modes coincide: the worst set is a single worst string, the
+        # first in table.strings() order, which is the order of a << n | b.
+        by_ab = moments.reshape(1 << n, 1 << n).T.ravel()
+        first = int(np.argmax(by_ab))
+        worst_abs = float(by_ab[first])
+        worst = (PauliString.hermitian(n, first >> n, first & (1 << n) - 1).text(),)
         margin = 1.0 - worst_abs
         return ValidationReport(
             "p-uncertainty",
             margin >= -tol,
             margin,
-            worst,
-            {"p": "inf", "mode": "max", "strings": len(alphabet)},
+            worst if worst_abs else (),
+            {"p": "inf", "mode": "max", "strings": len(keys)},
         )
 
     if mode == "auto":
-        mode = "exhaustive" if len(alphabet) <= MAX_EXHAUSTIVE_STRINGS else "canonical"
+        mode = "exhaustive" if n <= MAX_COMMUTING_SYSTEMS else "canonical"
+    weight = [m**p for m in moments.tolist()]
 
     if mode == "exhaustive":
-        if len(alphabet) > MAX_EXHAUSTIVE_STRINGS:
-            raise ResourceError(
-                f"exhaustive mode is limited to {MAX_EXHAUSTIVE_STRINGS} strings "
-                f"with non-zero moments, got {len(alphabet)}"
-            )
-        families = cached_anticommuting_families(alphabet) if alphabet else ()
-    elif mode == "randomized":
-        families = [
-            tuple(s)
-            for s in sample_maximal_anticommuting_sets(alphabet, samples, seed)
-        ]
-    elif mode == "canonical":
-        families = _canonical_families(n, samples, seed)
+        if n > MAX_COMMUTING_SYSTEMS:
+            raise ResourceError(f"exhaustive mode is limited to n <= {MAX_COMMUTING_SYSTEMS}")
+        worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
+        pairs = sorted((k & (1 << n) - 1, k >> n) for k in members)  # table.strings() order
+        worst = tuple(PauliString.hermitian(n, a, b).text() for a, b in pairs)
     else:
-        raise DomainError(f"unknown mode {mode!r}")
-
-    # A string outside the alphabet has a zero or unknown moment: it adds 0.
-    weight = {s.basis_key(): abs(table.value(s)) ** p for s in alphabet}
-    worst_sum, worst = 0.0, ()
-    for family in families:
-        total = sum(weight.get(s.basis_key(), 0.0) for s in family)
-        if total > worst_sum:
-            worst_sum = total
-            worst = tuple(s.canonical().text() for s in family)
+        if mode == "randomized":
+            alphabet = tuple(s for s in table.strings() if moments[s.a | s.b << n])
+            families = sample_maximal_anticommuting_sets(alphabet, samples, seed)
+        elif mode == "canonical":
+            families = _canonical_families(n, samples, seed)
+        else:
+            raise DomainError(f"unknown mode {mode!r}")
+        worst_sum, worst, sets = 0.0, (), len(families)
+        for family in families:
+            total = sum(weight[s.a | s.b << n] for s in family)
+            if total > worst_sum:
+                worst_sum = total
+                worst = tuple(s.canonical().text() for s in family)
     margin = 1.0 - worst_sum
     return ValidationReport(
         "p-uncertainty",
         margin >= -tol,
         margin,
         worst,
-        {"p": p, "mode": mode, "sets": len(families), "strings": len(alphabet)},
+        {"p": p, "mode": mode, "sets": sets, "strings": len(keys)},
     )
 
 

@@ -37,8 +37,6 @@ __all__ = [
     "hermitian_basis",
     "full_support_strings",
     "maximal_anticommuting_sets",
-    "cached_anticommuting_families",
-    "cached_maximal_anticommuting_sets",
     "maximal_commuting_sets",
     "enumerate_anticommuting_sets",
     "sample_maximal_anticommuting_sets",
@@ -405,54 +403,6 @@ def maximal_anticommuting_sets(
     return tuple(AntiCommutingSet(c) for c in _maximal_cliques(tuple(strings), 1))
 
 
-@lru_cache(maxsize=1024)
-def _cached_maximal_sets(n: int, keys: tuple[int, ...]) -> tuple[int, ...]:
-    """:func:`maximal_anticommuting_sets` of the strings with packed
-    exponents ``a | b << n``, one member mask per set (bit i stands for
-    ``keys[i]``).  Masks and packed keys keep an entry several times
-    smaller than the sets themselves."""
-    strings = tuple(PauliString.hermitian(n, k & (1 << n) - 1, k >> n) for k in keys)
-    # Members are these very objects, so identity finds their positions
-    # even where two keys repeat.
-    bit = {id(s): 1 << i for i, s in enumerate(strings)}
-    return tuple(sum(bit[id(s)] for s in c) for c in maximal_anticommuting_sets(strings))
-
-
-def cached_anticommuting_families(
-    strings: Sequence[PauliString],
-) -> tuple[tuple[PauliString, ...], ...]:
-    """The members of every :func:`maximal_anticommuting_sets` set,
-    memoized by alphabet.
-
-    The cache keeps the 1024 most recently used alphabets.  Phases do
-    not enter the key; every family is built from ``strings`` itself.
-
-    Raises:
-        DimensionError: if the strings act on different system counts.
-    """
-    strings = tuple(strings)
-    n = strings[0].n if strings else 1
-    if any(s.n != n for s in strings):
-        raise DimensionError("mixed system counts in the alphabet")
-    out = []
-    for mask in _cached_maximal_sets(n, tuple(s.a | s.b << n for s in strings)):
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(strings[low.bit_length() - 1])
-            mask ^= low
-        out.append(tuple(members))
-    return tuple(out)
-
-
-def cached_maximal_anticommuting_sets(
-    strings: Sequence[PauliString],
-) -> tuple[AntiCommutingSet, ...]:
-    """:func:`maximal_anticommuting_sets`, memoized by alphabet through
-    :func:`cached_anticommuting_families`."""
-    return tuple(AntiCommutingSet(c) for c in cached_anticommuting_families(strings))
-
-
 @lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
 def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
     """All maximal pairwise commuting collections of non-identity strings.
@@ -521,7 +471,7 @@ def enumerate_anticommuting_sets(n: int) -> tuple[AntiCommutingSet, ...]:
             f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_SYSTEMS}; "
             "use sample_maximal_anticommuting_sets for larger systems"
         )
-    return cached_maximal_anticommuting_sets(hermitian_basis(n))
+    return maximal_anticommuting_sets(tuple(hermitian_basis(n)))
 
 
 def sample_maximal_anticommuting_sets(

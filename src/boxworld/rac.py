@@ -233,9 +233,8 @@ def _default_coefficient_address(state: CoefficientState, j: int) -> PauliString
     Z, Y.  Encoder outputs store every addressed coefficient, so all
     keys having full support identifies the full-support layout.
     """
-    n, keys = state.n, state.keys()
-    full = (1 << n) - 1
-    if keys and all((a | b) == full for a, b in keys):
+    n = state.n
+    if state.has_full_support:
         base, offset, size = 3, 1, 3**n
     else:
         base, offset, size = 4, 0, 4**n - 1

@@ -173,6 +173,13 @@ class CoefficientState:
     def keys(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._coeffs))
 
+    @property
+    def has_full_support(self) -> bool:
+        """True iff a coefficient is stored and every stored string acts
+        on all systems; checked without sorting the keys."""
+        full = (1 << self._n) - 1
+        return bool(self._coeffs) and all((a | b) == full for a, b in self._coeffs)
+
     def expectation(self, observable: PauliString) -> float:
         """Expectation value of a Hermitian (possibly negated) string.
 

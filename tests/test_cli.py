@@ -319,7 +319,7 @@ class TestImportIsLazy:
         code = (
             "import json, boxworld.cli\n"
             "from boxworld import constraints, pauli\n"
-            "caches = [pauli.maximal_commuting_sets, pauli._cached_maximal_sets,\n"
+            "caches = [pauli.maximal_commuting_sets,\n"
             "          constraints._local_plan, constraints._commuting_plan,\n"
             "          constraints._canonical_families]\n"
             "print(json.dumps([c.cache_info()._asdict() for c in caches]))\n"
@@ -334,7 +334,7 @@ class TestImportIsLazy:
             env={**os.environ, "PYTHONPATH": path},
         )
         infos = json.loads(out.stdout)
-        assert len(infos) == 5
+        assert len(infos) == 4
         for info in infos:
             assert info["currsize"] == 0
             assert info["maxsize"] is not None and info["maxsize"] > 0

@@ -26,7 +26,7 @@ from boxworld.constraints import (
     validate_gnst,
 )
 from boxworld.errors import DomainError, IncompleteMomentError, ResourceError
-from boxworld.pauli import PauliString, commutes, pauli_product
+from boxworld.pauli import PauliString, commutes, maximal_anticommuting_sets, pauli_product
 from boxworld.rac import rac_encode_pbin, rac_encode_pgnst
 from boxworld.states import (
     CliffordCircuit,
@@ -102,7 +102,7 @@ class TestUncertainty:
 
     def test_exhaustive_alphabet_gate(self):
         keys = {}
-        n = 4
+        n = 5
         for a in range(2**n):
             for b in range(2**n):
                 if (a, b) != (0, 0) and len(keys) < 120:
@@ -110,6 +110,18 @@ class TestUncertainty:
         state = CoefficientState(n, keys)
         with pytest.raises(ResourceError):
             check_p_uncertainty(state, 2, mode="exhaustive")
+        assert check_p_uncertainty(state, 2, mode="auto").detail["mode"] == "canonical"
+
+    def test_clique_search_finds_what_canonical_misses(self):
+        quantum = oracle.random_quantum_state(4, np.random.default_rng(0))
+        scaled = {k: 2.28 * quantum.coefficient(*k) for k in quantum.keys()}
+        table = MomentTable(4, scaled, strict=False)
+        result = classify_state(table, 1.5)
+        assert result.level == "invalid"
+        assert result.reports[0].detail["mode"] == "exhaustive"
+        assert result.reports[0].margin == pytest.approx(-0.2003, abs=1e-4)
+        canonical = check_p_uncertainty(table, 1.5, mode="canonical")
+        assert canonical.margin == pytest.approx(0.3426, abs=1e-4)
 
     def test_margin_wrapper(self):
         state = CoefficientState(1, {(1, 0): 0.5})
@@ -396,6 +408,55 @@ class TestBatchedRungs:
             through_oracle = math.sqrt(size) * oracle.hadamard_sign_matrix(m) @ mu
             assert np.allclose(np.sort(mu @ characters), expected, rtol=0, atol=1e-12)
             assert np.allclose(np.sort(through_oracle), expected, rtol=0, atol=1e-12)
+
+
+def sparse_states(n, rng, count):
+    """Quantum states keeping about 30% of their coefficients, scaled
+    x1.4 so that some break the relation."""
+    for _ in range(count):
+        quantum = oracle.random_quantum_state(n, rng)
+        kept = [k for k in quantum.keys() if rng.random() < 0.3]
+        yield MomentTable(n, {k: 1.4 * quantum.coefficient(*k) for k in kept}, strict=False)
+
+
+class TestCliqueSearch:
+    def assert_matches_maximal_sets(self, state, exponents):
+        """Against the worst power sum over every maximal anti-commuting
+        set of the non-zero alphabet, enumerated by Bron-Kerbosch."""
+        table = constraints._moment_table(state)
+        alphabet = [s for s in table.strings() if table.value(s) != 0.0]
+        sets = maximal_anticommuting_sets(alphabet) if alphabet else ()
+        for p in exponents:
+            power_sum = lambda members: sum(abs(table.value(s)) ** p for s in members)
+            report = check_p_uncertainty(state, p, mode="exhaustive")
+            assert report.detail["mode"] == "exhaustive"
+            expected = max(map(power_sum, sets), default=0.0)
+            assert abs(report.margin - (1.0 - expected)) <= 1e-12
+            members = [PauliString.from_text(t) for t in report.worst_set]
+            for s, t in itertools.combinations(members, 2):
+                assert not commutes(s, t)
+            assert [s.basis_key() for s in members] == sorted(s.basis_key() for s in members)
+            assert abs(power_sum(members) - (1.0 - report.margin)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ladder_families_match_maximal_sets(self, n, rng):
+        for state in [*ladder_families(n, rng), *dropped_setting_tables(n, rng)]:
+            self.assert_matches_maximal_sets(state, (1.0, 1.5, 2.0, 3.0))
+
+    def test_n4_alphabets_match_maximal_sets(self, rng):
+        bits = lambda: [int(b) for b in rng.integers(0, 2, size=81)]
+        for p in (1.5, 2.0, 3.0):
+            self.assert_matches_maximal_sets(rac_encode_pgnst(bits(), 4, p), (p,))
+            restricted = rac_encode_pbin(bits(), 4, p, restrict_to_xyz=True)
+            self.assert_matches_maximal_sets(restricted, (p,))
+        for state in sparse_states(4, rng, count=4):
+            assert len(state.keys()) <= 100
+            self.assert_matches_maximal_sets(state, (1.5, 2.0, 3.0))
+
+    def test_empty_alphabet(self):
+        report = check_p_uncertainty(MomentTable(3, {}, strict=True), 2, mode="exhaustive")
+        assert (report.margin, report.worst_set) == (1.0, ())
+        assert report.detail == {"p": 2.0, "mode": "exhaustive", "sets": 0, "strings": 0}
 
 
 class TestLadderPaths:

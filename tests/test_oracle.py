@@ -150,6 +150,12 @@ class TestRandomStates:
             state = oracle.random_valid_state(2, p, rng)
             assert check_p_uncertainty(state, p, mode="exhaustive").passed
 
+    def test_random_valid_state_at_four_systems(self, rng):
+        for p in (1.5, 2.0, 3.0):
+            state = oracle.random_valid_state(4, p, rng)
+            assert state.n == 4
+            assert check_p_uncertainty(state, p, mode="exhaustive").passed
+
     def test_random_circuit_shape(self, rng):
         circuit = oracle.random_circuit(2, rng)
         assert circuit.n == 2

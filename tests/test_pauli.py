@@ -292,25 +292,6 @@ class TestAntiCommutingSets:
         b = sample_maximal_anticommuting_sets(alphabet, count=5, seed=3)
         assert a == b
 
-    def test_alphabet_cache_is_bounded(self):
-        info = pauli._cached_maximal_sets.cache_info()
-        assert info.maxsize is not None and info.maxsize > 0
-
-    def test_cached_families_match_uncached_sets(self):
-        # a negated duplicate: the cache keys drop phases, the families keep them
-        alphabet = tuple(hermitian_basis(2)) + (-PauliString.from_text("XZ"),)
-        expected = maximal_anticommuting_sets(alphabet)
-        assert pauli.cached_anticommuting_families(alphabet) == tuple(
-            tuple(s) for s in expected
-        )
-        assert pauli.cached_maximal_anticommuting_sets(alphabet) == expected
-
-    def test_cached_families_reject_mixed_systems(self):
-        with pytest.raises(DimensionError):
-            pauli.cached_anticommuting_families(
-                (PauliString.from_text("X"), PauliString.from_text("XZ"))
-            )
-
     def test_construction_rejects_commuting_members(self):
         with pytest.raises(DomainError):
             AntiCommutingSet(

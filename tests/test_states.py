@@ -110,6 +110,11 @@ class TestCoefficientState:
         assert state.keys() == ((0, 1),)
         assert state.coefficient(1, 0) == 0.0
 
+    def test_full_support_needs_every_key_on_all_systems(self):
+        assert CoefficientState(2, {(3, 0): 0.5, (1, 2): 0.5}).has_full_support
+        assert not CoefficientState(2, {(3, 0): 0.5, (1, 0): 0.5}).has_full_support
+        assert not CoefficientState(2, {}).has_full_support
+
     def test_expectation_reads_coefficients(self):
         state = CoefficientState(1, {(1, 0): 0.5})
         x = PauliString.single(1, 0, "X")
