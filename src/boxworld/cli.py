@@ -318,7 +318,8 @@ def rac_verify_cmd(
     """Decode every index of one codeword, exactly and by sampling."""
     params = rac_mod.rac_params(theory, n, p)
     if bits is None:
-        encoded = [random.Random(seed).randrange(2) for _ in range(params.encoded_bits)]
+        draw = random.Random(seed)
+        encoded = [draw.randrange(2) for _ in range(params.encoded_bits)]
     else:
         encoded = _parse_bits(bits)
     state = _encode(theory, encoded, n, p)
@@ -361,7 +362,8 @@ def rac_boost_cmd(n: int, p: float, seed: int, trials: int, index: int, fmt: str
     """Monte Carlo failure rate of the majority-boosted code."""
     copies, bound = rac_mod.rac_repetition_params(n, p)
     encoded_bits = 3**n
-    bits = [random.Random(seed).randrange(2) for _ in range(encoded_bits)]
+    draw = random.Random(seed)
+    bits = [draw.randrange(2) for _ in range(encoded_bits)]
     success = rac_mod.rac_repetition_decode(bits, n, p, index, trials=trials, seed=seed)
     failure = 1.0 - success
     _emit(
@@ -470,18 +472,11 @@ def learn(
 @click.option("--file", "path", required=True, help="state JSON file")
 @_p_option
 @_tol_option
-@_seed_option
-@click.option(
-    "--mode",
-    type=click.Choice(["auto", "exhaustive", "canonical"]),
-    default="auto",
-    show_default=True,
-)
 @_format_option
-def validate(path: str, p: float, tol: float, seed: int, mode: str, fmt: str) -> None:
+def validate(path: str, p: float, tol: float, fmt: str) -> None:
     """Classify a stored state in the validity hierarchy."""
     state = _load_state(path)
-    result = constraints.classify_state(state, p, tol=tol, mode=mode, seed=seed)
+    result = constraints.classify_state(state, p, tol=tol)
     for report in result.reports:
         status = "pass" if report.passed else "FAIL"
         click.echo(f"{report.constraint}: {status} (margin {report.margin:.6g})", err=True)

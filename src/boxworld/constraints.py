@@ -2,7 +2,8 @@
 
 The checks form a hierarchy.  The p-uncertainty relation bounds the
 power sum of moments over every pairwise anti-commuting set; up to four
-systems a maximum-weight clique search finds the worst one.  Positivity
+systems a maximum-weight clique search finds the worst one, and beyond
+that a seeded search looks for violations.  Positivity
 of moment matrices over disjoint-support collections tightens it; the
 same condition over maximal commuting collections tightens it further;
 and positive-semidefiniteness of the density matrix reconstructed from
@@ -43,7 +44,6 @@ from .pauli import (
     maximal_commuting_sets,
     pauli_product,
     product_of,
-    sample_maximal_anticommuting_sets,
 )
 from .states import (
     DEFAULT_TOL,
@@ -152,31 +152,24 @@ def _moment_table(state: StateLike) -> MomentTable:
 # ---------------------------------------------------------------------------
 
 
-def _conjugation_circuits(n: int, count: int, seed: int) -> list[CliffordCircuit]:
-    rng = random.Random(seed)
+@lru_cache(maxsize=16)
+def _canonical_families(n: int) -> tuple[tuple[PauliString, ...], ...]:
+    """The ladder set and its distinct images under 64 random Clifford
+    circuits of eight gates each (seed 0), in circuit order."""
+    rng = random.Random(0)
     names = ["H", "X", "Y", "Z"] + (["CNOT"] if n > 1 else [])
-    out = []
-    for _ in range(count):
+    ladder = tuple(gamma_set(n))
+    families = [ladder]
+    seen = {frozenset(g.basis_key() for g in ladder)}
+    for _ in range(64):
         gates = []
         for _ in range(8):
             name = rng.choice(names)
             if name == "CNOT":
-                c, t = rng.sample(range(n), 2)
-                gates.append((name, (c, t)))
+                gates.append((name, tuple(rng.sample(range(n), 2))))
             else:
                 gates.append((name, (rng.randrange(n),)))
-        out.append(CliffordCircuit(n, tuple(gates)))
-    return out
-
-
-@lru_cache(maxsize=16)
-def _canonical_families(n: int, samples: int, seed: int) -> tuple[tuple[PauliString, ...], ...]:
-    """The ladder set and its distinct images under ``samples`` seeded
-    random Clifford circuits, in circuit order."""
-    ladder = tuple(gamma_set(n))
-    families = [ladder]
-    seen = {frozenset(g.basis_key() for g in ladder)}
-    for circuit in _conjugation_circuits(n, samples, seed):
+        circuit = CliffordCircuit(n, tuple(gates))
         image = tuple(conjugate_pauli(circuit, g).canonical() for g in ladder)
         key = frozenset(g.basis_key() for g in image)
         if key not in seen:
@@ -235,36 +228,29 @@ def _heaviest_anticommuting_set(
 
 
 def check_p_uncertainty(
-    state: StateLike,
-    p: float,
-    mode: str = "canonical",
-    seed: int = 0,
-    samples: int = 64,
-    tol: float = DEFAULT_TOL,
+    state: StateLike, p: float, tol: float = DEFAULT_TOL
 ) -> ValidationReport:
     """Check the power-sum uncertainty relation at exponent ``p``.
 
     Over every pairwise anti-commuting set of Hermitian strings the
     moments must satisfy sum |m|**p <= 1; at p = infinity the relation
-    degenerates to |m| <= 1 for every single string.
+    degenerates to |m| <= 1 for every single string.  The system count
+    picks the search, and the report's ``mode`` names it:
 
-    Modes:
-        * ``canonical`` (default): the standard ladder set plus
-          ``samples`` of its images under seeded random Clifford
-          circuits.  A violation search, not a proof of validity;
-          unknown moments count as 0.
-        * ``exhaustive``: the heaviest pairwise anti-commuting subset of
-          the strings with known non-zero moments, by a maximum-weight
-          clique search.  A proof, since zero and unknown moments add
-          nothing to any power sum.  The report's ``sets`` counts the
-          anti-commuting sets the search examined.
-        * ``randomized``: ``samples`` greedy random maximal sets over
-          the known alphabet.
-        * ``auto``: exhaustive up to four systems, else canonical.
+        * ``exhaustive``, up to four systems: the heaviest pairwise
+          anti-commuting subset of the strings with known non-zero
+          moments, by a maximum-weight clique search.  A proof, since
+          zero and unknown moments add nothing to any power sum.  The
+          report's ``sets`` counts the anti-commuting sets the search
+          examined.
+        * ``canonical``, beyond four systems: the standard ladder set
+          plus its images under 64 seeded random Clifford circuits.  A
+          violation search, not a proof of validity; unknown moments
+          count as 0.
+        * ``max``, at p = infinity: the largest single moment.
 
     Raises:
-        DomainError: for p < 1 or an unknown mode.
-        ResourceError: exhaustive mode beyond four systems.
+        DomainError: for p < 1.
     """
     p = validate_exponent(p)
     table = _moment_table(state)
@@ -276,8 +262,8 @@ def check_p_uncertainty(
     keys = np.flatnonzero(moments).tolist()
 
     if p == math.inf:
-        # All modes coincide: the worst set is a single worst string, the
-        # first in table.strings() order, which is the order of a << n | b.
+        # The worst set is a single worst string, the first in
+        # table.strings() order, which is the order of a << n | b.
         by_ab = moments.reshape(1 << n, 1 << n).T.ravel()
         first = int(np.argmax(by_ab))
         worst_abs = float(by_ab[first])
@@ -291,24 +277,15 @@ def check_p_uncertainty(
             {"p": "inf", "mode": "max", "strings": len(keys)},
         )
 
-    if mode == "auto":
-        mode = "exhaustive" if n <= MAX_COMMUTING_SYSTEMS else "canonical"
     weight = [m**p for m in moments.tolist()]
-
-    if mode == "exhaustive":
-        if n > MAX_COMMUTING_SYSTEMS:
-            raise ResourceError(f"exhaustive mode is limited to n <= {MAX_COMMUTING_SYSTEMS}")
+    if n <= MAX_COMMUTING_SYSTEMS:
+        mode = "exhaustive"
         worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
         pairs = sorted((k & (1 << n) - 1, k >> n) for k in members)  # table.strings() order
         worst = tuple(PauliString.hermitian(n, a, b).text() for a, b in pairs)
     else:
-        if mode == "randomized":
-            alphabet = tuple(s for s in table.strings() if moments[s.a | s.b << n])
-            families = sample_maximal_anticommuting_sets(alphabet, samples, seed)
-        elif mode == "canonical":
-            families = _canonical_families(n, samples, seed)
-        else:
-            raise DomainError(f"unknown mode {mode!r}")
+        mode = "canonical"
+        families = _canonical_families(n)
         worst_sum, worst, sets = 0.0, (), len(families)
         for family in families:
             total = sum(weight[s.a | s.b << n] for s in family)
@@ -325,9 +302,9 @@ def check_p_uncertainty(
     )
 
 
-def uncertainty_margin(state: StateLike, p: float, **kwargs) -> float:
+def uncertainty_margin(state: StateLike, p: float) -> float:
     """Convenience wrapper: the margin of :func:`check_p_uncertainty`."""
-    return check_p_uncertainty(state, p, **kwargs).margin
+    return check_p_uncertainty(state, p).margin
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +620,7 @@ class ClassificationResult:
 
 
 def classify_state(
-    state: StateLike,
-    p: float,
-    tol: float = DEFAULT_TOL,
-    mode: str = "auto",
-    seed: int = 0,
-    samples: int = 64,
+    state: StateLike, p: float, tol: float = DEFAULT_TOL
 ) -> ClassificationResult:
     """Run the constraint ladder bottom-up and name the reached level.
 
@@ -663,7 +635,7 @@ def classify_state(
     """
     table = _moment_table(state)
     reports: list[ValidationReport] = []
-    first = check_p_uncertainty(table, p, mode=mode, seed=seed, samples=samples, tol=tol)
+    first = check_p_uncertainty(table, p, tol=tol)
     reports.append(first)
     if not first.passed:
         return ClassificationResult("invalid", tuple(reports))

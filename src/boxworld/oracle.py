@@ -310,7 +310,10 @@ def random_valid_state(
     base = CoefficientState(
         n, {s.basis_key(): float(v) for s, v in zip(strings, raw) if v}
     )
-    worst = 1.0 - check_p_uncertainty(base, p, mode="exhaustive").margin
+    report = check_p_uncertainty(base, p)
+    if report.detail["mode"] == "canonical":  # a search cannot certify the scale
+        raise ResourceError("a certified scale is limited to n <= 4 at finite p")
+    worst = 1.0 - report.margin
     shrink = float(rng.random())
     if p == math.inf:
         factor = shrink / max(worst, 1e-12)
@@ -363,7 +366,7 @@ def _verify_inclusion(seed: int, cases: int) -> dict:
         for q in full_grid:
             if q < p:
                 continue
-            report = check_p_uncertainty(state, q, mode="exhaustive")
+            report = check_p_uncertainty(state, q)
             if not report.passed:
                 failures.append({"p": p, "q": q, "margin": report.margin})
     return _report("inclusion", not failures, cases, {"failures": failures[:5]})
@@ -381,7 +384,7 @@ def _verify_operations(seed: int, cases: int) -> dict:
         p = grid[int(rng.integers(0, len(grid)))]
         state = random_valid_state(n, p, rng)
         image = apply_clifford(random_circuit(n, rng), state)
-        report = check_p_uncertainty(image, p, mode="exhaustive")
+        report = check_p_uncertainty(image, p)
         if not report.passed:
             failures.append({"p": p, "n": n, "margin": report.margin})
     return _report("operations", not failures, cases, {"failures": failures[:5]})
@@ -416,7 +419,7 @@ def _verify_pbox_counterexample(seed: int, cases: int) -> dict:
         candidates.append(random_valid_state(2, math.inf, rng))
     circuit = CliffordCircuit(2, (("CNOT", (0, 1)),))
     for state in candidates:
-        if not check_p_uncertainty(state, math.inf, mode="exhaustive").passed:
+        if not check_p_uncertainty(state, math.inf).passed:
             continue
         if not check_local_moments(state).passed:
             continue
@@ -451,7 +454,7 @@ def _verify_tensor(seed: int, cases: int) -> dict:
         joint = parts[0]
         for part in parts[1:]:
             joint = tensor_product(joint, part)
-        report = check_p_uncertainty(joint, p, mode="exhaustive")
+        report = check_p_uncertainty(joint, p)
         if not report.passed:
             failures.append({"p": p, "shape": shape, "margin": report.margin})
     return _report("tensor", not failures, cases, {"failures": failures[:5]})
@@ -476,19 +479,19 @@ def _verify_rac(claim: str, seed: int, cases: int) -> dict:
             bits = tuple(int(v) for v in rng.integers(0, 2, size=3**n))
             state = rac.rac_encode_pgnst(bits, n, p)
             expected_q = 0.5 + 0.5 * lam
-            if not check_p_uncertainty(state, p, mode="exhaustive").passed:
+            if not check_p_uncertainty(state, p).passed:
                 failures.append({"n": n, "p": p, "reason": "uncertainty"})
         elif claim == "pbinRAC":
             bits = tuple(int(v) for v in rng.integers(0, 2, size=4**n - 1))
             state = rac.rac_encode_pbin(bits, n, p)
             expected_q = 0.5 + 0.5 * lam
-            if not check_p_uncertainty(state, p, mode="exhaustive").passed:
+            if not check_p_uncertainty(state, p).passed:
                 failures.append({"n": n, "p": p, "reason": "uncertainty"})
         elif claim == "pnonlocalRAC":
             bits = tuple(int(v) for v in rng.integers(0, 2, size=3**n))
             state = rac.rac_encode_pbin(bits, n, p, restrict_to_xyz=True)
             expected_q = 0.5 + 0.5 * lam
-            if not check_p_uncertainty(state, p, mode="exhaustive").passed:
+            if not check_p_uncertainty(state, p).passed:
                 failures.append({"n": n, "p": p, "reason": "uncertainty"})
             if not check_local_moments(state).passed:
                 failures.append({"n": n, "p": p, "reason": "local-moments"})

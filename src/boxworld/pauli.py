@@ -39,7 +39,6 @@ __all__ = [
     "maximal_anticommuting_sets",
     "maximal_commuting_sets",
     "enumerate_anticommuting_sets",
-    "sample_maximal_anticommuting_sets",
 ]
 
 _LETTER_TO_AB = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -47,9 +46,9 @@ _AB_TO_LETTER = {v: k for k, v in _LETTER_TO_AB.items()}
 _TAG_TO_PHASE = {"+1": 0, "+i": 1, "-1": 2, "-i": 3, "−1": 2, "−i": 3}
 _PHASE_TO_TAG = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
-# Exhaustive enumeration over all 4**n - 1 strings is gated here; beyond
-# this the randomized mode must be used instead.  Maximal commuting sets
-# are enumerated up to one system further.
+# Enumerating every maximal anti-commuting set over all 4**n - 1 strings
+# is gated here; maximal commuting sets are enumerated up to one system
+# further.
 MAX_ENUMERATION_SYSTEMS = 3
 MAX_COMMUTING_SYSTEMS = 4
 
@@ -464,38 +463,11 @@ def enumerate_anticommuting_sets(n: int) -> tuple[AntiCommutingSet, ...]:
     """All maximal anti-commuting sets over every non-identity string.
 
     Raises:
-        ResourceError: for n > 3; use the randomized sampler instead.
+        ResourceError: for n > 3.
     """
     if n > MAX_ENUMERATION_SYSTEMS:
         raise ResourceError(
-            f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_SYSTEMS}; "
-            "use sample_maximal_anticommuting_sets for larger systems"
+            f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_SYSTEMS}"
         )
     return maximal_anticommuting_sets(tuple(hermitian_basis(n)))
 
-
-def sample_maximal_anticommuting_sets(
-    strings: Sequence[PauliString], count: int, seed: int
-) -> tuple[AntiCommutingSet, ...]:
-    """Greedy randomized maximal sets, reproducible for a fixed seed."""
-    import random
-
-    strings = tuple(strings)
-    rng = random.Random(seed)
-    adj = _relation_masks(strings, 1)
-    seen: set[int] = set()
-    out: list[AntiCommutingSet] = []
-    order = list(range(len(strings)))
-    for _ in range(count):
-        rng.shuffle(order)
-        mask = 0
-        allowed = (1 << len(strings)) - 1
-        for v in order:
-            if allowed >> v & 1:
-                mask |= 1 << v
-                allowed &= adj[v]
-        if mask not in seen:
-            seen.add(mask)
-            members = tuple(strings[i] for i in range(len(strings)) if mask >> i & 1)
-            out.append(AntiCommutingSet(members))
-    return tuple(out)

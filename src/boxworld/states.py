@@ -652,7 +652,9 @@ class MomentTable:
     its exact operator product; looking up a negated string negates the
     value.  ``strict`` tables raise on absent keys, which is the right
     behavior for operationally defined tables, while coefficient-state
-    views treat absent strings as zero.
+    views treat absent strings as zero.  The identity's moment is fixed
+    at 1 and cannot be stored; a key beyond ``n`` systems raises
+    :class:`DimensionError`.
     """
 
     __slots__ = ("_n", "_values", "_strict")
@@ -663,6 +665,12 @@ class MomentTable:
         values: Mapping[tuple[int, int], float],
         strict: bool = True,
     ):
+        mask = (1 << n) - 1
+        for a, b in values:
+            if a == 0 and b == 0:
+                raise ValidationError("the identity has fixed moment 1")
+            if a & ~mask or b & ~mask:
+                raise DimensionError("moment key exceeds the system count")
         self._n = n
         self._values = dict(values)
         self._strict = strict

@@ -144,7 +144,7 @@ def test_criterion_05_pgnst_rac_recovery():
 def test_criterion_06_hierarchy_separation():
     with criterion(6, "hierarchy witness and the entangling counterexample"):
         witness = rac.rac_encode_pbin([0] * 15, 2, 2)
-        assert constraints.check_p_uncertainty(witness, 2, mode="exhaustive").passed
+        assert constraints.check_p_uncertainty(witness, 2).passed
         assert constraints.check_local_moments(witness).passed
         commuting = constraints.check_commuting_moments(witness)
         assert not commuting.passed

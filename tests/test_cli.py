@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import boxworld
+from boxworld import rac as rac_mod
 from boxworld.cli import ExperimentConfig, main, run_named, run_psphere, run_summary_table
 from boxworld.errors import DomainError
 from boxworld.games import chsh_win_probability
@@ -138,6 +139,26 @@ class TestRacCommands:
         assert payload["copies"] == 27
         assert payload["within_bound"] is True
         assert payload["empirical_failure"] <= payload["failure_bound"]
+
+    @pytest.mark.parametrize(
+        "args, target",
+        [
+            (("verify", "--theory", "gnst", "--p", "inf", "--trials", "10"), "rac_encode_gnst"),
+            (("boost", "--p", "1", "--trials", "10"), "rac_repetition_decode"),
+        ],
+    )
+    def test_default_codeword_draws_both_bits(self, runner, monkeypatch, args, target):
+        seen = []
+        original = getattr(rac_mod, target)
+
+        def spy(bits, *rest, **kwargs):
+            seen.append(list(bits))
+            return original(bits, *rest, **kwargs)
+
+        monkeypatch.setattr(rac_mod, target, spy)
+        result = invoke(runner, "rac", *args, "--n", "2", "--seed", "0")
+        assert result.exit_code == 0
+        assert len(seen) == 1 and set(seen[0]) == {0, 1}
 
 
 class TestCommCommands:

@@ -29,6 +29,7 @@ from boxworld.errors import DomainError, IncompleteMomentError, ResourceError
 from boxworld.pauli import PauliString, commutes, maximal_anticommuting_sets, pauli_product
 from boxworld.rac import rac_encode_pbin, rac_encode_pgnst
 from boxworld.states import (
+    DEFAULT_TOL,
     CliffordCircuit,
     CoefficientState,
     GnstState,
@@ -53,16 +54,24 @@ class TestExponent:
             validate_exponent(bad)
 
 
+def canonical_margin(state, p):
+    """1 - the worst power sum over the canonical families, the search
+    beyond four systems, at any n."""
+    table = constraints._moment_table(state)
+    families = constraints._canonical_families(table.n)
+    return 1.0 - max(sum(abs(table.value(s)) ** p for s in f) for f in families)
+
+
 class TestUncertainty:
     def test_single_string_saturates(self):
         state = CoefficientState(1, {(1, 0): 1.0})
-        report = check_p_uncertainty(state, 2, mode="exhaustive")
+        report = check_p_uncertainty(state, 2)
         assert report.passed
         assert abs(report.margin) < 1e-12
 
     def test_two_full_moments_violate(self):
         state = CoefficientState(1, {(1, 0): 1.0, (0, 1): 1.0})
-        report = check_p_uncertainty(state, 2, mode="exhaustive")
+        report = check_p_uncertainty(state, 2)
         assert not report.passed
         assert report.margin == pytest.approx(-1.0)
         assert "+1 X" in report.worst_set and "+1 Z" in report.worst_set
@@ -86,19 +95,14 @@ class TestUncertainty:
             if not keys:
                 continue
             state = CoefficientState(2, keys)
-            full = check_p_uncertainty(state, 2, mode="exhaustive")
-            sampled = check_p_uncertainty(state, 2, mode="canonical", samples=16)
-            assert sampled.margin >= full.margin - 1e-12
+            full = check_p_uncertainty(state, 2)
+            assert full.detail["mode"] == "exhaustive"
+            assert canonical_margin(state, 2) >= full.margin - 1e-12
 
     def test_exhaustive_pass_implies_canonical_pass(self):
         state = CoefficientState(1, {(1, 0): 0.6, (0, 1): 0.7})
-        assert check_p_uncertainty(state, 2, mode="exhaustive").passed
-        assert check_p_uncertainty(state, 2, mode="canonical").passed
-
-    def test_unknown_mode(self):
-        state = CoefficientState(1, {(1, 0): 0.5})
-        with pytest.raises(DomainError):
-            check_p_uncertainty(state, 2, mode="dense")
+        assert check_p_uncertainty(state, 2).passed
+        assert canonical_margin(state, 2) >= -DEFAULT_TOL
 
     def test_exhaustive_alphabet_gate(self):
         keys = {}
@@ -108,9 +112,7 @@ class TestUncertainty:
                 if (a, b) != (0, 0) and len(keys) < 120:
                     keys[(a, b)] = 1e-3
         state = CoefficientState(n, keys)
-        with pytest.raises(ResourceError):
-            check_p_uncertainty(state, 2, mode="exhaustive")
-        assert check_p_uncertainty(state, 2, mode="auto").detail["mode"] == "canonical"
+        assert check_p_uncertainty(state, 2).detail["mode"] == "canonical"
 
     def test_clique_search_finds_what_canonical_misses(self):
         quantum = oracle.random_quantum_state(4, np.random.default_rng(0))
@@ -120,13 +122,35 @@ class TestUncertainty:
         assert result.level == "invalid"
         assert result.reports[0].detail["mode"] == "exhaustive"
         assert result.reports[0].margin == pytest.approx(-0.2003, abs=1e-4)
-        canonical = check_p_uncertainty(table, 1.5, mode="canonical")
-        assert canonical.margin == pytest.approx(0.3426, abs=1e-4)
+        assert canonical_margin(table, 1.5) == pytest.approx(0.3426, abs=1e-4)
 
     def test_margin_wrapper(self):
         state = CoefficientState(1, {(1, 0): 0.5})
-        report = check_p_uncertainty(state, 3, mode="exhaustive")
-        assert uncertainty_margin(state, 3, mode="exhaustive") == report.margin
+        report = check_p_uncertainty(state, 3)
+        assert uncertainty_margin(state, 3) == report.margin
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_search_is_a_proof_up_to_four_systems(self, n, rng):
+        for state in ladder_families(n, rng):
+            for p in (1.5, 2.0, 3.0):
+                assert check_p_uncertainty(state, p).detail["mode"] == "exhaustive"
+            assert check_p_uncertainty(state, math.inf).detail["mode"] == "max"
+
+    def test_search_is_canonical_at_five_systems(self, rng):
+        for state in ladder_families(5, rng):
+            assert check_p_uncertainty(state, 2.0).detail["mode"] == "canonical"
+            assert check_p_uncertainty(state, math.inf).detail["mode"] == "max"
+
+    def test_five_system_canonical_report(self):
+        state = oracle.random_quantum_state(5, np.random.default_rng(0))
+        report = check_p_uncertainty(state, 1.5)
+        assert report.margin == pytest.approx(0.9029716425432698, abs=1e-12)
+        assert report.worst_set == (
+            "+1 XIIII", "+1 ZIIII", "+1 YXIII", "+1 YZIXI", "+1 YYXXX", "+1 YYZXI",
+            "+1 YZYYX", "+1 YYYIX", "+1 YZYZI", "+1 YZXZY", "+1 YZXZZ",
+        )
+        assert report.detail == {"p": 1.5, "mode": "canonical", "sets": 46, "strings": 1023}
+        assert canonical_margin(state, 1.5) == report.margin
 
     def test_works_on_probability_tables(self):
         report = check_p_uncertainty(pr_box_state(), math.inf)
@@ -428,7 +452,7 @@ class TestCliqueSearch:
         sets = maximal_anticommuting_sets(alphabet) if alphabet else ()
         for p in exponents:
             power_sum = lambda members: sum(abs(table.value(s)) ** p for s in members)
-            report = check_p_uncertainty(state, p, mode="exhaustive")
+            report = check_p_uncertainty(state, p)
             assert report.detail["mode"] == "exhaustive"
             expected = max(map(power_sum, sets), default=0.0)
             assert abs(report.margin - (1.0 - expected)) <= 1e-12
@@ -454,7 +478,7 @@ class TestCliqueSearch:
             self.assert_matches_maximal_sets(state, (1.5, 2.0, 3.0))
 
     def test_empty_alphabet(self):
-        report = check_p_uncertainty(MomentTable(3, {}, strict=True), 2, mode="exhaustive")
+        report = check_p_uncertainty(MomentTable(3, {}, strict=True), 2)
         assert (report.margin, report.worst_set) == (1.0, ())
         assert report.detail == {"p": 2.0, "mode": "exhaustive", "sets": 0, "strings": 0}
 

@@ -67,7 +67,7 @@ class TestOptimalState:
 
     @pytest.mark.parametrize("p", EXPONENTS)
     def test_uncertainty_tight(self, p):
-        report = check_p_uncertainty(chsh_optimal_state(p), p, mode="exhaustive")
+        report = check_p_uncertainty(chsh_optimal_state(p), p)
         assert report.passed
         assert report.margin >= -1e-12
 
@@ -186,7 +186,7 @@ class TestXorStrategy:
         assert xor_game_value(chsh_game(), strategy) == pytest.approx(
             strategy.win_probability
         )
-        assert check_p_uncertainty(state, 2, mode="exhaustive").passed
+        assert check_p_uncertainty(state, 2).passed
 
     def test_any_game_won_outright_at_infinity(self):
         game = random_xor_game(3, 3, seed=2)
@@ -215,4 +215,4 @@ class TestXorStrategy:
         state, strategy = build_xor_game_state(game, p)
         value = xor_game_value(game, strategy)
         assert -1e-12 <= value <= 1.0 + 1e-12
-        assert check_p_uncertainty(state, p, mode="exhaustive").passed
+        assert check_p_uncertainty(state, p).passed

@@ -148,13 +148,18 @@ class TestRandomStates:
     def test_random_valid_state_obeys_uncertainty(self, rng):
         for p in (1.0, 2.0, math.inf):
             state = oracle.random_valid_state(2, p, rng)
-            assert check_p_uncertainty(state, p, mode="exhaustive").passed
+            assert check_p_uncertainty(state, p).passed
 
     def test_random_valid_state_at_four_systems(self, rng):
         for p in (1.5, 2.0, 3.0):
             state = oracle.random_valid_state(4, p, rng)
             assert state.n == 4
-            assert check_p_uncertainty(state, p, mode="exhaustive").passed
+            assert check_p_uncertainty(state, p).passed
+
+    def test_random_valid_state_needs_a_certified_scale(self, rng):
+        with pytest.raises(ResourceError):
+            oracle.random_valid_state(5, 2.0, rng)
+        assert oracle.random_valid_state(5, math.inf, rng).n == 5
 
     def test_random_circuit_shape(self, rng):
         circuit = oracle.random_circuit(2, rng)

@@ -16,7 +16,6 @@ from boxworld.pauli import (
     maximal_anticommuting_sets,
     pauli_product,
     product_of,
-    sample_maximal_anticommuting_sets,
     symplectic_form,
 )
 
@@ -285,12 +284,6 @@ class TestAntiCommutingSets:
     def test_enumeration_gate(self):
         with pytest.raises(ResourceError):
             enumerate_anticommuting_sets(4)
-
-    def test_sampler_deterministic(self):
-        alphabet = tuple(hermitian_basis(2))
-        a = sample_maximal_anticommuting_sets(alphabet, count=5, seed=3)
-        b = sample_maximal_anticommuting_sets(alphabet, count=5, seed=3)
-        assert a == b
 
     def test_construction_rejects_commuting_members(self):
         with pytest.raises(DomainError):

@@ -353,6 +353,16 @@ class TestMomentTable:
         with pytest.raises(DomainError):
             table.value_of_collection([x, z])
 
+    def test_rejects_keys_beyond_the_system_count(self):
+        with pytest.raises(DimensionError):
+            MomentTable(2, {(4, 0): 0.9})
+        with pytest.raises(DimensionError):
+            MomentTable(1, {(0, 2): 0.9}, strict=False)
+
+    def test_rejects_the_identity_key(self):
+        with pytest.raises(ValidationError):
+            MomentTable(1, {(0, 0): -1.0})
+
     def test_from_coefficient_state(self):
         state = CoefficientState(2, {(1, 0): 0.5, (2, 2): -0.25})
         table = MomentTable.from_coefficient_state(state)
