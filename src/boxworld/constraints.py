@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,20 +39,21 @@ from .errors import DomainError, ResourceError
 from .pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
-    commutes,
     gamma_set,
     maximal_commuting_sets,
-    pauli_product,
     product_of,
 )
 from .states import (
     DEFAULT_TOL,
+    MAX_COLLECTION_SIZE,
     CliffordCircuit,
     CoefficientState,
     GnstState,
     MomentTable,
+    _characters,
+    _collection_products,
+    _column,
     _marginals,
-    all_outcomes,
     conjugate_pauli,
     moments_from_probabilities,
 )
@@ -80,7 +81,6 @@ __all__ = [
 ]
 
 MAX_LOCAL_SYSTEMS = 5
-MAX_COLLECTION_SIZE = 12
 
 LEVELS = ("invalid", "p-bin", "p-box", "p-nonlocal", "quantum-consistent")
 
@@ -312,27 +312,6 @@ def uncertainty_margin(state: StateLike, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _collection_products(collection: Sequence[PauliString]) -> list[PauliString]:
-    """Products over all member subsets; subset masks put member 0 in
-    the most significant bit, matching the outcome enumeration order."""
-    m = len(collection)
-    if m == 0:
-        raise DomainError("empty collection")
-    if m > MAX_COLLECTION_SIZE:
-        raise ResourceError(
-            f"moment matrices are limited to {MAX_COLLECTION_SIZE} measurements"
-        )
-    n = collection[0].n
-    for s, t in itertools.combinations(collection, 2):
-        if not commutes(s, t):
-            raise DomainError(f"{s.text()} and {t.text()} do not commute")
-    out = []
-    for mask in range(1 << m):
-        members = [collection[i] for i in range(m) if mask >> (m - 1 - i) & 1]
-        out.append(product_of(members, n=n))
-    return out
-
-
 def collection_moment_vector(
     collection: Sequence[PauliString], state: StateLike
 ) -> np.ndarray:
@@ -425,57 +404,47 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
             yield choice
 
 
-def _group_elements(members: Sequence[PauliString]) -> list[PauliString]:
-    """The group, up to sign, that pairwise commuting members generate.
+def _group(members: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Packed keys ``a | b << n`` and signs of the group, up to sign, that
+    pairwise commuting Hermitian basis strings generate.
 
     Every member outside the span so far doubles the list with its
     products, so bit k of an element's index names the k-th independent
     generator and the moment matrix over the elements is ``mu[i xor j]``.
+    Element e times member g has phase phase_e + |a_g & b_g| + 2 |b_e & a_g|;
+    its sign is that phase relative to |a & b| of the product.
     """
-    elements = [PauliString.identity(members[0].n)]
-    span = {(0, 0)}
-    for s in members:
-        if s.basis_key() not in span:
-            doubled = [pauli_product(e, s) for e in elements]
-            span.update(e.basis_key() for e in doubled)
-            elements += doubled
-    return elements
-
-
-def _characters(size: int) -> np.ndarray:
-    """Signs (-1)**popcount(i & k) for i, k below ``size``, a power of 2.
-
-    Column k is a character of Z_2^m, so ``mu @ _characters(len(mu))``
-    is the spectrum of the group matrix ``mu[i xor j]``: its
-    Walsh-Hadamard transform.
-    """
-    signs = np.ones((1, 1))
-    while len(signs) < size:
-        signs = np.block([[signs, signs], [signs, -signs]])
-    return signs
+    weight = lambda k: (k & k >> n & (1 << n) - 1).bit_count()
+    keys, phases = [0], [0]
+    for g in members:
+        if g not in keys:
+            w = weight(g)
+            phases += [p + w + 2 * (e >> n & g).bit_count() for e, p in zip(keys, phases)]
+            keys += [e ^ g for e in keys]
+    return keys, [1 - ((p - weight(k)) & 2) for k, p in zip(keys, phases)]
 
 
 @dataclass(frozen=True)
 class _Plan:
     """The collections of one positivity rung at one n, as arrays.
 
-    ``named`` holds the collections in report order.  Each group holds
-    the collections whose groups have the same size 2**m: their rows in
+    ``named`` holds the collections in report order, each as the packed
+    keys ``a | b << n`` of its members.  Each group holds the
+    collections whose groups have the same size 2**m: their rows in
     ``named``, the index into :meth:`MomentTable.vector` and the sign of
     every group element, and the characters of Z_2^m.
     """
 
-    named: tuple[tuple[PauliString, ...], ...]
+    named: tuple[tuple[int, ...], ...]
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _plan(named: Sequence[tuple[PauliString, ...]]) -> _Plan:
+def _plan(collections: Iterable[Sequence[PauliString]], n: int) -> _Plan:
+    named = tuple(tuple(s.a | s.b << n for s in members) for members in collections)
     by_size: dict[int, list] = {}
     for row, members in enumerate(named):
-        elements = _group_elements(members)
-        by_size.setdefault(len(elements), []).append(
-            (row, [e.a | e.b << e.n for e in elements], [e.hermitian_sign() for e in elements])
-        )
+        keys, signs = _group(members, n)
+        by_size.setdefault(len(keys), []).append((row, keys, signs))
     groups = []
     for size, entries in sorted(by_size.items()):
         rows, idx, signs = zip(*entries)
@@ -487,17 +456,17 @@ def _plan(named: Sequence[tuple[PauliString, ...]]) -> _Plan:
                 _characters(size),
             )
         )
-    return _Plan(tuple(named), tuple(groups))
+    return _Plan(named, tuple(groups))
 
 
 @lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
 def _local_plan(n: int) -> _Plan:
-    return _plan(tuple(disjoint_support_collections(n)))
+    return _plan(disjoint_support_collections(n), n)
 
 
 @lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
 def _commuting_plan(n: int) -> _Plan:
-    return _plan(maximal_commuting_sets(n))
+    return _plan(maximal_commuting_sets(n), n)
 
 
 def _positivity_report(
@@ -524,7 +493,8 @@ def _positivity_report(
     if evaluated:
         row = int(np.argmin(smallest))
         margin = float(smallest[row])
-        worst = tuple(s.text() for s in plan.named[row])
+        n, low = table.n, (1 << table.n) - 1
+        worst = tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in plan.named[row])
     return ValidationReport(
         constraint,
         margin >= -tol,
@@ -742,8 +712,8 @@ def validate_gnst(state: GnstState, tol: float = DEFAULT_TOL) -> ValidationRepor
 
     norm_dev, norm_worst = 0.0, ()
     pos_min, pos_worst = 1.0, ()
-    for setting in settings:
-        probs = state.probabilities(setting)
+    rows = [state.probabilities(setting) for setting in settings]
+    for setting, probs in zip(settings, rows):
         dev = abs(sum(probs) - 1.0)
         if dev > norm_dev:
             norm_dev, norm_worst = dev, (str(setting.labels),)
@@ -754,20 +724,17 @@ def validate_gnst(state: GnstState, tol: float = DEFAULT_TOL) -> ValidationRepor
     signal_dev, signal_worst = 0.0, ()
     overlap_dev, overlap_worst = 0.0, ()
     if n > 1:
-        outcomes = tuple(all_outcomes(n))
+        mu = (np.array(rows) @ _characters(1 << n)).tolist()
         for keep in itertools.chain.from_iterable(
             itertools.combinations(range(n), r) for r in range(1, n)
         ):
+            column = _column(n, keep)
             moments: dict[tuple[int, ...], float] = {}
-            for setting, sub, _, deviation, source in _marginals(state, keep):
+            for row, (setting, sub, _, deviation, source) in zip(mu, _marginals(state, keep)):
                 pair = (str(source), str(setting.labels))
                 if deviation > signal_dev:
                     signal_dev, signal_worst = deviation, pair
-                value = sum(
-                    p * math.prod(o[i] for i in keep)
-                    for p, o in zip(state.probabilities(setting), outcomes)
-                )
-                dev = abs(value - moments.setdefault(sub, value))
+                dev = abs(row[column] - moments.setdefault(sub, row[column]))
                 if dev > overlap_dev:
                     overlap_dev, overlap_worst = dev, pair
 

@@ -34,6 +34,7 @@ from .errors import (
     IncompleteMomentError,
     InconsistencyError,
     NoSignalingError,
+    ResourceError,
     ValidationError,
 )
 from .pauli import PauliString, commutes, pauli_product, product_of
@@ -481,20 +482,23 @@ class GnstState:
             ) from None
 
     def subset_moment(self, setting: FiducialSetting, systems: Iterable[int]) -> float:
-        """Moment of the outcome product over a subset of systems."""
-        chosen = sorted(set(systems))
+        """Moment of the outcome product over a subset of systems.
+
+        Raises:
+            DimensionError: if the setting's length is not n or a system
+                lies outside 0..n-1.
+        """
+        if setting.n != self._n:
+            raise DimensionError("setting length disagrees with state")
+        chosen = set(systems)
+        if min(chosen, default=0) < 0 or max(chosen, default=0) >= self._n:
+            raise DimensionError(f"systems {sorted(chosen)} out of range for n={self._n}")
         if self.is_compact:
             if len(chosen) == self._n:
                 return self._signs[self._setting_index(setting)] * self._lam
             return 0.0
-        probs = self.probabilities(setting)
-        total = 0.0
-        for outcome, pr in zip(all_outcomes(self._n), probs):
-            partial = 1
-            for i in chosen:
-                partial *= outcome[i]
-            total += pr * partial
-        return total
+        row = _characters(1 << self._n)[_column(self._n, chosen)]
+        return float(np.dot(self.probabilities(setting), row))
 
     def setting_moment(self, setting: FiducialSetting) -> float:
         return self.subset_moment(setting, range(self._n))
@@ -735,54 +739,108 @@ class MomentTable:
         return cls(state.n, values, strict=False)
 
 
+MAX_COLLECTION_SIZE = 12
+
+
+def _characters(size: int) -> np.ndarray:
+    """Signs (-1)**popcount(i & k) for i, k below ``size``, a power of 2.
+
+    Column k is a character of Z_2^m, so ``mu @ _characters(len(mu))``
+    is the spectrum of the group matrix ``mu[i xor j]``: its
+    Walsh-Hadamard transform.  It also maps an outcome distribution to
+    its subset moments (:func:`_column`), and back when divided by size.
+    """
+    signs = np.ones((1, 1))
+    while len(signs) < size:
+        signs = np.block([[signs, signs], [signs, -signs]])
+    return signs
+
+
+def _column(n: int, systems: Iterable[int]) -> int:
+    """The column of the :func:`_characters` transform of an outcome
+    distribution holding the moment over ``systems``; system i is bit n - 1 - i."""
+    return sum(1 << n - 1 - i for i in systems)
+
+
+def _collection_products(collection: Sequence[PauliString]) -> list[PauliString]:
+    """Products over all member subsets; subset masks put member 0 in
+    the most significant bit, matching the outcome enumeration order."""
+    m = len(collection)
+    if m == 0:
+        raise DomainError("empty collection")
+    if m > MAX_COLLECTION_SIZE:
+        raise ResourceError(
+            f"moment matrices are limited to {MAX_COLLECTION_SIZE} measurements"
+        )
+    n = collection[0].n
+    for s, t in itertools.combinations(collection, 2):
+        if not commutes(s, t):
+            raise DomainError(f"{s.text()} and {t.text()} do not commute")
+    out = []
+    for mask in range(1 << m):
+        members = [collection[i] for i in range(m) if mask >> (m - 1 - i) & 1]
+        out.append(product_of(members, n=n))
+    return out
+
+
+def _setting_key(setting: FiducialSetting) -> tuple[int, int]:
+    """Exponent masks of a setting's string; label k is X**(k & 1) Z**(k >> 1)."""
+    digits = list(enumerate(setting.labels))
+    return sum((k & 1) << i for i, k in digits), sum((k >> 1) << i for i, k in digits)
+
+
 def moments_from_probabilities(
     state: GnstState | Mapping[Sequence[int], Sequence[float]],
     tol: float = DEFAULT_TOL,
 ) -> MomentTable:
     """Moments of every stored setting and every subset of its systems.
 
+    Each setting's outcome distribution is transformed once by
+    :func:`_characters`; a subset's moment is one column of the result.
     Subset moments reachable from several settings are checked for
     consistency, which is the independence condition on overlapping
-    collections.
+    collections.  Compact states are consistent by construction.
 
     Raises:
-        ValidationError: on unnormalized input or inconsistent subsets.
+        ValidationError: on an empty mapping, unnormalized input or
+            inconsistent subsets.
     """
     if not isinstance(state, GnstState):
+        if not state:
+            raise ValidationError("a table state needs at least one setting")
         state = GnstState.from_table(
             len(next(iter(state))), state, check=False
         )
     n = state.n
-    for setting in state.settings():
-        total = sum(state.probabilities(setting))
-        if abs(total - 1.0) > tol:
-            raise ValidationError(
-                f"probabilities for {setting.labels} sum to {total}"
-            )
-    values: dict[tuple[int, int], float] = {}
     if state.is_compact:
-        lam, signs = state.lam, state.signs
-        for index, setting in enumerate(all_settings(n)):
-            values[setting.pauli().basis_key()] = signs[index] * lam
+        keys = map(_setting_key, all_settings(n))
+        values = {key: sign * state.lam for key, sign in zip(keys, state.signs)}
         return MomentTable(n, values, strict=False)
-    sources: dict[tuple[int, int], tuple[int, ...]] = {}
-    for setting in state.settings():
-        for r in range(1, n + 1):
-            for subset in itertools.combinations(range(n), r):
-                string = setting.subset_pauli(subset)
-                value = state.subset_moment(setting, subset)
-                key = string.basis_key()
-                if key in values:
-                    if abs(values[key] - value) > tol:
-                        raise ValidationError(
-                            f"moment of {string.letters()} is "
-                            f"{values[key]} under setting {sources[key]} but "
-                            f"{value} under {setting.labels}"
-                        )
-                else:
-                    values[key] = value
-                    sources[key] = setting.labels
-    return MomentTable(n, values, strict=True)
+    settings = state.settings()
+    rows = [state.probabilities(setting) for setting in settings]
+    for setting, probs in zip(settings, rows):
+        if abs(sum(probs) - 1.0) > tol:
+            raise ValidationError(f"probabilities for {setting.labels} sum to {sum(probs)}")
+    # Every subset of systems, by size and then lexicographically, as
+    # its key mask (bit i is system i) and its column.
+    subsets = [
+        (sum(1 << i for i in chosen), _column(n, chosen))
+        for r in range(1, n + 1)
+        for chosen in itertools.combinations(range(n), r)
+    ]
+    first: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = {}
+    for setting, row in zip(settings, (np.array(rows) @ _characters(1 << n)).tolist()):
+        a, b = _setting_key(setting)
+        for mask, column in subsets:
+            key = (a & mask, b & mask)
+            value, source = first.setdefault(key, (row[column], setting.labels))
+            if abs(value - row[column]) > tol:
+                raise ValidationError(
+                    f"moment of {PauliString.hermitian(n, *key).letters()} is "
+                    f"{value} under setting {source} but "
+                    f"{row[column]} under {setting.labels}"
+                )
+    return MomentTable(n, {key: value for key, (value, _) in first.items()}, strict=True)
 
 
 def probabilities_from_moments(
@@ -793,36 +851,22 @@ def probabilities_from_moments(
     """Invert subset moments into an outcome distribution for a collection.
 
     p(A) = 2**-m * sum over subsets of the subset moment times the
-    matching outcome product.
+    matching outcome product: the inverse of the transform in
+    :func:`_characters`.
 
     Raises:
+        DomainError: on an empty or non-commuting collection.
+        ResourceError: beyond ``MAX_COLLECTION_SIZE`` members.
         IncompleteMomentError: if a required subset moment is absent.
         InconsistencyError: if any recovered probability is below -tol.
     """
-    m = len(collection)
-    if m == 0:
-        raise DomainError("empty collection")
-    for s, t in itertools.combinations(collection, 2):
-        if not commutes(s, t):
-            raise DomainError(f"{s.text()} and {t.text()} do not commute")
-    subset_values = []
-    for mask in range(1 << m):
-        members = [collection[i] for i in range(m) if mask >> i & 1]
-        subset_values.append(moments.value(product_of(members, n=moments.n)))
-    result: dict[OutcomeVector, float] = {}
-    for outcome in itertools.product((1, -1), repeat=m):
-        total = 0.0
-        for mask, mu in enumerate(subset_values):
-            weight = 1
-            for i in range(m):
-                if mask >> i & 1:
-                    weight *= outcome[i]
-            total += mu * weight
-        value = total / (1 << m)
+    mu = np.array([moments.value(s) for s in _collection_products(collection)])
+    probs = (_characters(len(mu)) @ mu / len(mu)).tolist()
+    result = dict(zip(all_outcomes(len(collection)), probs))
+    for outcome, value in result.items():
         if value < -tol:
             raise InconsistencyError(
                 f"recovered probability {value} for outcome {outcome}; "
                 "the moment matrix of this collection is not PSD"
             )
-        result[outcome] = value
     return result

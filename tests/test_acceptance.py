@@ -10,7 +10,6 @@ import sys
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from boxworld import constraints, games, infotasks, oracle, rac
 from boxworld.pauli import PauliString, pauli_product, symplectic_form

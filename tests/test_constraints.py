@@ -26,7 +26,13 @@ from boxworld.constraints import (
     validate_gnst,
 )
 from boxworld.errors import DomainError, IncompleteMomentError, ResourceError
-from boxworld.pauli import PauliString, commutes, maximal_anticommuting_sets, pauli_product
+from boxworld.pauli import (
+    PauliString,
+    commutes,
+    maximal_anticommuting_sets,
+    pauli_product,
+    product_of,
+)
 from boxworld.rac import rac_encode_pbin, rac_encode_pgnst
 from boxworld.states import (
     DEFAULT_TOL,
@@ -406,6 +412,23 @@ class TestBatchedRungs:
                 else:
                     assert report.worst_set == ()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_packed_groups_match_string_products(self, n):
+        for plan, collections in (
+            (constraints._local_plan(n), list(disjoint_support_collections(n))),
+            (constraints._commuting_plan(n), maximal_commuting_sets(n)),
+        ):
+            assert plan.named == tuple(tuple(s.a | s.b << n for s in c) for c in collections)
+            for members, packed in zip(collections, plan.named):
+                gens = independent_members(members)
+                elements = [
+                    product_of([g for k, g in enumerate(gens) if i >> k & 1], n=n)
+                    for i in range(1 << len(gens))
+                ]
+                keys, signs = constraints._group(packed, n)
+                assert keys == [e.a | e.b << n for e in elements]
+                assert signs == [e.hermitian_sign() for e in elements]
+
     def test_pr_box_counts(self):
         report = check_local_moments(pr_box_state())
         assert report.detail == {"collections": 8, "skipped": 10}
@@ -635,3 +658,27 @@ class TestGnstValidation:
         report = validate_gnst(state)
         assert not report.passed
         assert report.margin == pytest.approx(-0.1)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overlap_margin_matches_oracle_moments(self, n, rng):
+        settings = all_settings(n)
+        table = {}
+        for i in rng.choice(len(settings), size=len(settings) // 2, replace=False):
+            probs = rng.uniform(0.0, 1.0, 2**n)
+            table[settings[i].labels] = probs / probs.sum()
+        state = GnstState.from_table(n, table, check=False)
+        gap = 0.0
+        for r in range(1, n):
+            for keep in itertools.combinations(range(n), r):
+                # Entry k of the oracle's vector is the moment over the
+                # systems i whose bit n - 1 - i is set in k.
+                column = sum(1 << n - 1 - i for i in keep)
+                first = {}
+                for setting in state.settings():
+                    value = oracle.subset_moment_vector(state.probabilities(setting), n)[column]
+                    reference = first.setdefault(tuple(setting.labels[i] for i in keep), value)
+                    gap = max(gap, abs(value - reference))
+        checks = validate_gnst(state).detail["checks"]
+        overlap = next(c for c in checks if c["constraint"] == "overlap-consistency")
+        assert gap > 0.0
+        assert abs(overlap["margin"] + gap) <= 1e-15

@@ -25,7 +25,6 @@ from boxworld.pauli import PauliString
 from boxworld.states import (
     CoefficientState,
     FiducialSetting,
-    MomentTable,
     moments_from_probabilities,
     pr_box_state,
 )

@@ -6,7 +6,7 @@ import pytest
 from boxworld import constraints, oracle
 from boxworld.errors import DimensionError, DomainError, ResourceError
 from boxworld.pauli import PauliString
-from boxworld.states import CliffordCircuit, CoefficientState, pr_box_state
+from boxworld.states import CliffordCircuit, CoefficientState
 from boxworld.constraints import check_commuting_moments, check_p_uncertainty
 
 

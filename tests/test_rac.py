@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from boxworld.errors import DimensionError, DomainError, ValidationError
-from boxworld.pauli import PauliString, full_support_strings, hermitian_basis
+from boxworld.pauli import full_support_strings, hermitian_basis
 from boxworld.rac import (
     IndexMap,
     _default_coefficient_address,

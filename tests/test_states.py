@@ -1,5 +1,4 @@
-import json
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -14,10 +13,12 @@ from boxworld.errors import (
     IncompleteMomentError,
     InconsistencyError,
     NoSignalingError,
+    ResourceError,
     ValidationError,
 )
-from boxworld.pauli import PauliString, full_support_strings
+from boxworld.pauli import PauliString, full_support_strings, maximal_commuting_sets, product_of
 from boxworld.states import (
+    MAX_COLLECTION_SIZE,
     CliffordCircuit,
     CoefficientState,
     FiducialSetting,
@@ -275,6 +276,21 @@ class TestGnstState:
         assert state.subset_moment(setting, (0,)) == 0.0
         assert state.setting_moment(setting) == 0.25
 
+    @pytest.mark.parametrize("systems", [(0, 5), (5,), (-1,)])
+    def test_subset_moment_rejects_foreign_systems(self, systems):
+        compact = GnstState.compact(2, 0.25, tuple([1] * 9))
+        for state in (compact, pr_box_state()):
+            with pytest.raises(DimensionError):
+                state.subset_moment(FiducialSetting((1, 2)), systems)
+
+    def test_subset_moment_rejects_foreign_settings(self):
+        for n, labels in ((2, (3, 3, 3)), (3, (3, 3))):
+            state = GnstState.compact(n, 0.25, tuple([1] * 3**n))
+            with pytest.raises(DimensionError):
+                state.subset_moment(FiducialSetting(labels), range(len(labels)))
+        with pytest.raises(DimensionError):
+            pr_box_state().setting_moment(FiducialSetting((1,)))
+
     def test_from_table_requires_complete_vectors(self):
         with pytest.raises(ValidationError):
             GnstState.from_table(1, {(1,): (0.6, 0.3)})
@@ -410,6 +426,130 @@ class TestMomentConversions:
                 table,
                 [PauliString.single(1, 0, "X"), PauliString.single(1, 0, "Z")],
             )
+
+
+def quantum_table(state, settings):
+    """A quantum state's outcome table under ``settings``: each outcome
+    has probability 2**-n times the sum, over subsets of systems, of the
+    subset string's expectation times the subset's outcome product."""
+    n = state.n
+    subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    table = {}
+    for setting in settings:
+        moments = [state.expectation(setting.subset_pauli(c)) for c in subsets]
+        table[setting.labels] = [
+            sum(m * outcome_product([o[i] for i in c]) for m, c in zip(moments, subsets)) / 2**n
+            for o in all_outcomes(n)
+        ]
+    return GnstState.from_table(n, table)
+
+
+def loop_probabilities(moments, collection):
+    """The inversion as a double loop over outcomes and member subsets,
+    member i in bit i of a subset mask."""
+    m = len(collection)
+    subset_values = []
+    for mask in range(1 << m):
+        members = [collection[i] for i in range(m) if mask >> i & 1]
+        subset_values.append(moments.value(product_of(members, n=moments.n)))
+    result = {}
+    for outcome in itertools.product((1, -1), repeat=m):
+        total = 0.0
+        for mask, mu in enumerate(subset_values):
+            weight = 1
+            for i in range(m):
+                if mask >> i & 1:
+                    weight *= outcome[i]
+            total += mu * weight
+        result[outcome] = total / (1 << m)
+    return result
+
+
+class TestMomentTransform:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_moments_match_oracle(self, n, rng):
+        settings = all_settings(n)
+        quantum = oracle.random_quantum_state(n, rng)
+        half = sorted(rng.choice(len(settings), size=max(1, len(settings) // 2), replace=False))
+        corpus = [quantum_table(quantum, settings), quantum_table(quantum, [settings[i] for i in half])]
+        if n == 2:
+            corpus.append(pr_box_state())
+        for state in corpus:
+            table = moments_from_probabilities(state)
+            assert table.strict
+            keys = set()
+            for setting in state.settings():
+                # Entry k of the oracle's vector is the moment over the
+                # systems i whose bit n - 1 - i is set in k.
+                mu = oracle.subset_moment_vector(state.probabilities(setting), n)
+                for r in range(1, n + 1):
+                    for subset in itertools.combinations(range(n), r):
+                        string = setting.subset_pauli(subset)
+                        keys.add(string.basis_key())
+                        expected = mu[sum(1 << n - 1 - i for i in subset)]
+                        assert abs(table.value(string) - expected) <= 1e-15
+                        assert abs(state.subset_moment(setting, subset) - expected) <= 1e-15
+            assert set(table.keys()) == keys
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_compact_keys_are_setting_strings(self, n, rng):
+        signs = [int(s) for s in rng.choice((-1, 1), size=3**n)]
+        table = moments_from_probabilities(GnstState.compact(n, 0.375, signs))
+        assert not table.strict
+        assert table.keys() == tuple(sorted(s.pauli().basis_key() for s in all_settings(n)))
+        for setting, sign in zip(all_settings(n), signs):
+            assert table.value(setting.pauli()) == sign * 0.375
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_inversion_matches_loop_formula(self, m, rng):
+        collections = maximal_commuting_sets(3)
+        for _ in range(10):
+            table = MomentTable.from_coefficient_state(oracle.random_quantum_state(3, rng))
+            members = collections[int(rng.integers(len(collections)))]
+            collection = [
+                members[i] if rng.integers(2) else -members[i]
+                for i in rng.choice(len(members), size=m, replace=False)
+            ]
+            expected = loop_probabilities(table, collection)
+            probs = probabilities_from_moments(table, collection)
+            assert list(probs) == list(expected)
+            assert max(abs(probs[o] - expected[o]) for o in probs) <= 1e-15
+
+    def test_inversion_size_gate(self):
+        n = MAX_COLLECTION_SIZE + 1
+        table = MomentTable(n, {}, strict=False)
+        with pytest.raises(ResourceError):
+            probabilities_from_moments(table, [PauliString.single(n, i, "Z") for i in range(n)])
+
+    @pytest.mark.parametrize(
+        "n, probs, message",
+        [
+            (
+                2,
+                {(1, 1): (0.5, 0.5, 0.0, 0.0), (1, 2): (0.25,) * 4, (2, 1): (0.25,) * 4},
+                "moment of XI is 1.0 under setting (1, 1) but 0.0 under (1, 2)",
+            ),
+            (
+                3,
+                {(2, 3, 1): [0.125] * 8, (1, 3, 1): [0.25, 0.0, 0.25, 0.0] * 2},
+                "moment of IIX is 1.0 under setting (1, 3, 1) but 0.0 under (2, 3, 1)",
+            ),
+        ],
+    )
+    def test_conflict_names_the_first_pair(self, n, probs, message):
+        state = GnstState.from_table(n, probs, check=False)
+        with pytest.raises(ValidationError) as caught:
+            moments_from_probabilities(state)
+        assert str(caught.value) == message
+
+    def test_unnormalized_table_rejected(self):
+        with pytest.raises(ValidationError) as caught:
+            moments_from_probabilities({(1, 1): (0.5, 0.0, 0.0, 0.6)})
+        assert str(caught.value) == "probabilities for (1, 1) sum to 1.1"
+
+    def test_empty_mapping_rejected(self):
+        with pytest.raises(ValidationError, match="needs at least one setting"):
+            moments_from_probabilities({})
 
 
 class TestFullSupportConsistency:
