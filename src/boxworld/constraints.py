@@ -45,7 +45,7 @@ from .pauli import (
 )
 from .states import (
     DEFAULT_TOL,
-    MAX_COLLECTION_SIZE,
+    MAX_COLLECTION_SIZE as MAX_COLLECTION_SIZE,
     CliffordCircuit,
     CoefficientState,
     GnstState,
@@ -134,14 +134,12 @@ def validate_exponent(p: float) -> float:
 def _moment_table(state: StateLike) -> MomentTable:
     """The moments of a state as one table.
 
-    Coefficient states give lenient tables (an absent string has moment
-    zero); probability tables give strict ones unless compact, since an
-    unmeasured moment is unknown, not zero.
+    A coefficient state is its own lenient table (an absent string has
+    moment zero) and is read in place; probability tables give strict
+    ones unless compact, since an unmeasured moment is unknown, not zero.
     """
     if isinstance(state, MomentTable):
         return state
-    if isinstance(state, CoefficientState):
-        return MomentTable.from_coefficient_state(state)
     if isinstance(state, GnstState):
         return moments_from_probabilities(state)
     raise DomainError(f"cannot extract moments from {type(state).__name__}")
@@ -549,20 +547,27 @@ def check_commuting_moments(
 
 
 def _density_matrix(table: MomentTable) -> np.ndarray:
-    """rho = 2**-n (identity + sum over stored moments of m_k sigma_k).
+    """rho = 2**-n (identity + sum over known moments of m_k sigma_k).
 
     The basis element sigma_(a,b) = i**|a & b| X**a Z**b maps |j> to
     i**|a & b| (-1)**|j & b| |j xor a>, so each moment adds one signed
     permutation.  Bit i of a basis index is system i, the reverse of the
-    kron order; the spectrum does not depend on the order.
+    kron order; the spectrum does not depend on the order.  Moments are
+    added in the order of their keys ``a | b << n``; an entry of rho is
+    touched only by a = row xor column, so each entry sums its terms in
+    the order of b.
     """
-    dim = 1 << table.n
+    n, dim = table.n, 1 << table.n
     idx = np.arange(dim)
     parity = np.array([j.bit_count() & 1 for j in range(dim)])
     rho = np.eye(dim, dtype=complex)
-    for s in table.strings():
-        phase = 1j ** (s.a & s.b).bit_count()
-        rho[idx ^ s.a, idx] += table.value(s) * phase * (1 - 2 * parity[idx & s.b])
+    moments = table.vector().tolist()
+    for k in range(1, len(moments)):  # entry 0 is the identity
+        m = moments[k]
+        if not m or math.isnan(m):  # zero or unknown
+            continue
+        a, b = k & dim - 1, k >> n
+        rho[idx ^ a, idx] += m * 1j ** (a & b).bit_count() * (1 - 2 * parity[idx & b])
     return rho / dim
 
 

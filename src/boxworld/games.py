@@ -107,10 +107,8 @@ def chsh_value(
                 (_LETTER_TO_LABEL[first], _LETTER_TO_LABEL[second])
             )
             corr = state.setting_moment(setting)
-        elif isinstance(state, MomentTable):
-            corr = state.value(PauliString.from_text(first + second))
         else:
-            corr = state.expectation(PauliString.from_text(first + second))
+            corr = state.value(PauliString.from_text(first + second))
         total += sign * corr
     return total
 

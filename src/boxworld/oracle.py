@@ -277,11 +277,8 @@ def grid_max_chsh(points_per_axis: int = 1000) -> float:
 # ---------------------------------------------------------------------------
 
 
-def random_quantum_state(
-    n: int, rng: np.random.Generator, mix: float = 0.0
-) -> CoefficientState:
-    """Coefficients of a random density matrix, optionally blended toward
-    the maximally mixed state by ``mix``."""
+def random_quantum_state(n: int, rng: np.random.Generator) -> CoefficientState:
+    """Coefficients of a random density matrix."""
     _check_size(n)
     dim = 1 << n
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -289,8 +286,7 @@ def random_quantum_state(
     rho /= np.trace(rho).real
     coeffs: dict[tuple[int, int], float] = {}
     for string in hermitian_basis(n):
-        value = float(np.trace(rho @ _dense_pauli(string)).real) * (1.0 - mix)
-        coeffs[string.basis_key()] = value
+        coeffs[string.basis_key()] = float(np.trace(rho @ _dense_pauli(string)).real)
     return CoefficientState(n, coeffs)
 
 

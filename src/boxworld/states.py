@@ -12,10 +12,11 @@ object for theories defined operationally rather than operator-wise.
 
 Moment bookkeeping (:class:`MomentTable`) bridges the two: moments of
 commuting measurement collections are indexed by the exact product
-string, and the linear transform between a collection's outcome
-distribution and its subset moments is invertible, which the
-``moments_from_probabilities`` / ``probabilities_from_moments`` pair
-implements.
+string.  ``s_k`` is the moment of ``sigma_k``, so a coefficient state
+is the lenient moment table of its coefficients.  The linear transform
+between a collection's outcome distribution and its subset moments is
+invertible, which the ``moments_from_probabilities`` /
+``probabilities_from_moments`` pair implements.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .pauli import PauliString, commutes, pauli_product, product_of
+from .pauli import PauliString, commutes, product_of
 
 __all__ = [
     "FIDUCIAL_LETTERS",
@@ -126,15 +127,108 @@ def all_settings(n: int) -> tuple[FiducialSetting, ...]:
     )
 
 
-class CoefficientState:
-    """A state given by real coefficients on Hermitian basis strings.
+class MomentTable:
+    """Moments of commuting measurement collections, keyed by product string.
 
-    Absent strings carry coefficient zero.  Construction validates
-    the box constraint |s_k| <= 1 on every stored coefficient; it does
-    not impose any uncertainty relation, which is the validators' job.
+    A collection's moment is stored under the Hermitian basis element of
+    its exact operator product; looking up a negated string negates the
+    value.  ``strict`` tables raise on absent keys, which is the right
+    behavior for operationally defined tables, while lenient ones, such
+    as every :class:`CoefficientState`, treat absent strings as zero.
+    The identity's moment is fixed at 1 and cannot be stored; a key
+    beyond ``n`` systems raises :class:`DimensionError`.
     """
 
-    __slots__ = ("_n", "_coeffs")
+    __slots__ = ("_n", "_values", "_strict")
+
+    def __init__(
+        self,
+        n: int,
+        values: Mapping[tuple[int, int], float],
+        strict: bool = True,
+    ):
+        mask = (1 << n) - 1
+        for a, b in values:
+            if a == 0 and b == 0:
+                raise ValidationError("the identity has fixed moment 1")
+            if a & ~mask or b & ~mask:
+                raise DimensionError("moment key exceeds the system count")
+        self._n = n
+        self._values = dict(values)
+        self._strict = strict
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def strict(self) -> bool:
+        return self._strict
+
+    def has(self, p: PauliString) -> bool:
+        return p.is_identity or p.basis_key() in self._values
+
+    def keys(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(self._values))
+
+    def strings(self) -> tuple[PauliString, ...]:
+        return tuple(PauliString.hermitian(self._n, a, b) for a, b in self.keys())
+
+    def value(self, p: PauliString) -> float:
+        """Moment of a signed Hermitian string; m(identity) = 1."""
+        if p.n != self._n:
+            raise DimensionError("string and table system counts differ")
+        sign = p.hermitian_sign()
+        if p.is_identity:
+            return float(sign)
+        key = p.basis_key()
+        if key not in self._values:
+            if self._strict:
+                raise IncompleteMomentError(
+                    f"no moment stored for {p.canonical().text()}"
+                )
+            return 0.0
+        return sign * self._values[key]
+
+    def vector(self) -> np.ndarray:
+        """Every moment in one array, indexed by ``a | b << n``.
+
+        Entry 0 is the identity's moment, 1.  Absent strings read NaN in
+        a strict table and 0 otherwise.
+        """
+        out = np.full(1 << 2 * self._n, np.nan if self._strict else 0.0)
+        out[0] = 1.0
+        for (a, b), value in self._values.items():
+            out[a | b << self._n] = value
+        return out
+
+    def value_of_collection(self, collection: Sequence[PauliString]) -> float:
+        """Moment of the product of a pairwise commuting collection."""
+        for s, t in itertools.combinations(collection, 2):
+            if not commutes(s, t):
+                raise DomainError(
+                    f"{s.text()} and {t.text()} do not commute"
+                )
+        return self.value(product_of(collection, n=self._n))
+
+    @classmethod
+    def from_coefficient_state(cls, state: CoefficientState) -> "MomentTable":
+        """A lenient copy of a coefficient state's moments."""
+        return cls(state.n, state._values, strict=False)
+
+
+class CoefficientState(MomentTable):
+    """A state given by real coefficients on Hermitian basis strings.
+
+    The coefficient ``s_k`` of ``sigma_k`` is the moment of ``sigma_k``,
+    so a coefficient state is the lenient :class:`MomentTable` of its
+    coefficients: absent strings carry coefficient zero, and the ladder
+    reads the state in place.  Construction validates the box constraint
+    |s_k| <= 1 on every stored coefficient and drops zeros; it does not
+    impose any uncertainty relation, which is the validators' job.
+    """
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -142,65 +236,39 @@ class CoefficientState:
         coefficients: Mapping[tuple[int, int], float],
         tol: float = DEFAULT_TOL,
     ):
-        mask = (1 << n) - 1
-        cleaned: dict[tuple[int, int], float] = {}
-        for (a, b), value in coefficients.items():
-            if a == 0 and b == 0:
-                raise ValidationError("the identity has fixed coefficient 1")
-            if a & ~mask or b & ~mask:
-                raise DimensionError("coefficient key exceeds the system count")
+        super().__init__(n, coefficients, strict=False)
+        for key, value in list(self._values.items()):
             value = float(value)
             if abs(value) > 1 + tol:
                 raise ValidationError(
-                    f"coefficient {value} on {PauliString.hermitian(n, a, b).text()} "
+                    f"coefficient {value} on {PauliString.hermitian(n, *key).text()} "
                     "violates |s| <= 1"
                 )
-            if value != 0.0:
-                cleaned[(a, b)] = value
-        self._n = n
-        self._coeffs = cleaned
-
-    @property
-    def n(self) -> int:
-        return self._n
+            if value:
+                self._values[key] = value
+            else:
+                del self._values[key]
 
     def coefficient(self, a: int, b: int) -> float:
-        return self._coeffs.get((a, b), 0.0)
+        return self._values.get((a, b), 0.0)
 
     def terms(self) -> Iterator[tuple[PauliString, float]]:
-        for (a, b), value in sorted(self._coeffs.items()):
+        for (a, b), value in sorted(self._values.items()):
             yield PauliString.hermitian(self._n, a, b), value
-
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._coeffs))
 
     @property
     def has_full_support(self) -> bool:
         """True iff a coefficient is stored and every stored string acts
         on all systems; checked without sorting the keys."""
         full = (1 << self._n) - 1
-        return bool(self._coeffs) and all((a | b) == full for a, b in self._coeffs)
+        return bool(self._values) and all((a | b) == full for a, b in self._values)
 
-    def expectation(self, observable: PauliString) -> float:
-        """Expectation value of a Hermitian (possibly negated) string.
-
-        Raises:
-            DomainError: if the observable is not Hermitian.
-            DimensionError: on mismatched system counts.
-        """
-        if observable.n != self._n:
-            raise DimensionError(
-                f"observable acts on {observable.n} systems, state on {self._n}"
-            )
-        sign = observable.hermitian_sign()
-        if observable.is_identity:
-            return float(sign)
-        return sign * self._coeffs.get(observable.basis_key(), 0.0)
+    expectation = MomentTable.value
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientState):
             return NotImplemented
-        return self._n == other._n and self._coeffs == other._coeffs
+        return self._n == other._n and self._values == other._values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{p.letters()}: {v:+.6g}" for p, v in self.terms())
@@ -285,58 +353,36 @@ class CliffordCircuit:
         return cls(n, tuple((name, tuple(ts)) for name, *ts in ops))
 
 
-def _generator_images(
-    gate: str, targets: tuple[int, ...], n: int
-) -> dict[tuple[str, int], PauliString]:
-    """Images of the X and Z generators on the gate's targets."""
-    x = lambda q: PauliString.single(n, q, "X")
-    z = lambda q: PauliString.single(n, q, "Z")
-    if gate == "I":
-        q = targets[0]
-        return {("X", q): x(q), ("Z", q): z(q)}
-    if gate == "X":
-        q = targets[0]
-        return {("X", q): x(q), ("Z", q): -z(q)}
-    if gate == "Z":
-        q = targets[0]
-        return {("X", q): -x(q), ("Z", q): z(q)}
-    if gate == "Y":
-        q = targets[0]
-        return {("X", q): -x(q), ("Z", q): -z(q)}
-    if gate == "H":
-        q = targets[0]
-        return {("X", q): z(q), ("Z", q): x(q)}
-    if gate == "CNOT":
-        c, t = targets
-        return {
-            ("X", c): pauli_product(x(c), x(t)),
-            ("X", t): x(t),
-            ("Z", c): z(c),
-            ("Z", t): pauli_product(z(c), z(t)),
-        }
-    raise DomainError(f"unsupported gate {gate!r}")
-
-
-def _conjugate_one_gate(
-    gate: str, targets: tuple[int, ...], p: PauliString
-) -> PauliString:
-    images = _generator_images(gate, targets, p.n)
-    result = PauliString(p.n, 0, 0, p.phase)
-    for q in range(p.n):
-        if p.a >> q & 1:
-            result = pauli_product(result, images.get(("X", q), PauliString.single(p.n, q, "X")))
-        if p.b >> q & 1:
-            result = pauli_product(result, images.get(("Z", q), PauliString.single(p.n, q, "Z")))
-    return result
-
-
 def conjugate_pauli(circuit: CliffordCircuit, p: PauliString) -> PauliString:
-    """Exact image U P U-dagger of a string under the circuit unitary."""
+    """Exact image U P U-dagger of a string under the circuit unitary.
+
+    Each gate updates the exponents and the phase of
+    i**phase X**a Z**b on its targets by the symplectic rules.  X, Z and
+    Y negate a string holding Z, X or exactly one of them there.  H
+    swaps X and Z, and X Z -> Z X = -X Z negates Y.  CNOT maps X_c to
+    X_c X_t and Z_t to Z_c Z_t, which moves no X past a Z.
+    """
     if circuit.n != p.n:
         raise DimensionError("circuit and string system counts differ")
+    a, b, phase = p.a, p.b, p.phase
     for gate, targets in circuit.gates:
-        p = _conjugate_one_gate(gate, targets, p)
-    return p
+        q = targets[0]
+        x, z = a >> q & 1, b >> q & 1
+        if gate == "X":
+            phase += 2 * z
+        elif gate == "Z":
+            phase += 2 * x
+        elif gate == "Y":
+            phase += 2 * (x ^ z)
+        elif gate == "H":
+            phase += 2 * (x & z)
+            a ^= (x ^ z) << q
+            b ^= (x ^ z) << q
+        elif gate == "CNOT":
+            t = targets[1]
+            a ^= x << t
+            b ^= (b >> t & 1) << q
+    return PauliString(p.n, a, b, phase)
 
 
 def apply_clifford(circuit: CliffordCircuit, state: CoefficientState) -> CoefficientState:
@@ -482,7 +528,8 @@ class GnstState:
             ) from None
 
     def subset_moment(self, setting: FiducialSetting, systems: Iterable[int]) -> float:
-        """Moment of the outcome product over a subset of systems.
+        """Moment of the outcome product over a subset of systems; the
+        empty subset's product is the identity, with moment 1.
 
         Raises:
             DimensionError: if the setting's length is not n or a system
@@ -496,7 +543,7 @@ class GnstState:
         if self.is_compact:
             if len(chosen) == self._n:
                 return self._signs[self._setting_index(setting)] * self._lam
-            return 0.0
+            return 0.0 if chosen else 1.0
         row = _characters(1 << self._n)[_column(self._n, chosen)]
         return float(np.dot(self.probabilities(setting), row))
 
@@ -647,96 +694,6 @@ def marginalize(state: GnstState, systems: Sequence[int]) -> GnstState:
             )
         collected.setdefault(sub, marg)
     return GnstState.from_table(len(keep), collected)
-
-
-class MomentTable:
-    """Moments of commuting measurement collections, keyed by product string.
-
-    A collection's moment is stored under the Hermitian basis element of
-    its exact operator product; looking up a negated string negates the
-    value.  ``strict`` tables raise on absent keys, which is the right
-    behavior for operationally defined tables, while coefficient-state
-    views treat absent strings as zero.  The identity's moment is fixed
-    at 1 and cannot be stored; a key beyond ``n`` systems raises
-    :class:`DimensionError`.
-    """
-
-    __slots__ = ("_n", "_values", "_strict")
-
-    def __init__(
-        self,
-        n: int,
-        values: Mapping[tuple[int, int], float],
-        strict: bool = True,
-    ):
-        mask = (1 << n) - 1
-        for a, b in values:
-            if a == 0 and b == 0:
-                raise ValidationError("the identity has fixed moment 1")
-            if a & ~mask or b & ~mask:
-                raise DimensionError("moment key exceeds the system count")
-        self._n = n
-        self._values = dict(values)
-        self._strict = strict
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def strict(self) -> bool:
-        return self._strict
-
-    def has(self, p: PauliString) -> bool:
-        return p.is_identity or p.basis_key() in self._values
-
-    def keys(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._values))
-
-    def strings(self) -> tuple[PauliString, ...]:
-        return tuple(PauliString.hermitian(self._n, a, b) for a, b in self.keys())
-
-    def value(self, p: PauliString) -> float:
-        """Moment of a signed Hermitian string; m(identity) = 1."""
-        if p.n != self._n:
-            raise DimensionError("string and table system counts differ")
-        sign = p.hermitian_sign()
-        if p.is_identity:
-            return float(sign)
-        key = p.basis_key()
-        if key not in self._values:
-            if self._strict:
-                raise IncompleteMomentError(
-                    f"no moment stored for {p.canonical().text()}"
-                )
-            return 0.0
-        return sign * self._values[key]
-
-    def vector(self) -> np.ndarray:
-        """Every moment in one array, indexed by ``a | b << n``.
-
-        Entry 0 is the identity's moment, 1.  Absent strings read NaN in
-        a strict table and 0 otherwise.
-        """
-        out = np.full(1 << 2 * self._n, np.nan if self._strict else 0.0)
-        out[0] = 1.0
-        for (a, b), value in self._values.items():
-            out[a | b << self._n] = value
-        return out
-
-    def value_of_collection(self, collection: Sequence[PauliString]) -> float:
-        """Moment of the product of a pairwise commuting collection."""
-        for s, t in itertools.combinations(collection, 2):
-            if not commutes(s, t):
-                raise DomainError(
-                    f"{s.text()} and {t.text()} do not commute"
-                )
-        return self.value(product_of(collection, n=self._n))
-
-    @classmethod
-    def from_coefficient_state(cls, state: CoefficientState) -> "MomentTable":
-        values = {key: state.coefficient(*key) for key in state.keys()}
-        return cls(state.n, values, strict=False)
 
 
 MAX_COLLECTION_SIZE = 12

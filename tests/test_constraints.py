@@ -544,6 +544,30 @@ class TestLadderPaths:
         assert len(calls) == 1
 
 
+class TestCoefficientStatesAreMomentTables:
+    def test_read_in_place(self):
+        state = oracle.random_quantum_state(2, np.random.default_rng(0))
+        assert constraints._moment_table(state) is state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_classified_as_their_lenient_table(self, n, rng):
+        corpus = [s for s in ladder_families(n, rng) if isinstance(s, CoefficientState)]
+        if n < 4:
+            corpus += [oracle.random_valid_state(n, p, rng) for p in (1.5, 2.0, 3.0, math.inf)]
+        for state in corpus:
+            table = MomentTable(n, {k: state.coefficient(*k) for k in state.keys()}, strict=False)
+            for p in (1.5, 2.0, 3.0, math.inf):
+                assert classify_state(state, p).to_json_dict() == classify_state(table, p).to_json_dict()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_density_skips_unknown_moments(self, n, rng):
+        for strict in dropped_setting_tables(n, rng):
+            known = {k: strict.value(PauliString.hermitian(n, *k)) for k in strict.keys()}
+            lenient = MomentTable(n, known, strict=False)
+            margin = lambda t: check_psd(constraints._density_matrix(t)).margin
+            assert margin(strict) == margin(lenient)
+
+
 class TestClassification:
     def test_uncertainty_violation_is_invalid(self):
         state = CoefficientState(1, {(1, 0): 1.0, (0, 1): 1.0})

@@ -231,6 +231,20 @@ class TestClifford:
                 oracle.dense(image), u @ oracle.dense(s) @ u.conj().T, atol=1e-10
             )
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_gate_alone_matches_dense(self, n):
+        singles = [(name, (q,)) for name in ("I", "X", "Y", "Z", "H") for q in range(n)]
+        pairs = [("CNOT", pair) for pair in itertools.permutations(range(n), 2)]
+        for gate in singles + pairs:
+            circuit = CliffordCircuit(n, (gate,))
+            u = oracle.dense(circuit)
+            for a, b, phase in itertools.product(range(1 << n), range(1 << n), range(4)):
+                s = PauliString(n, a, b, phase)
+                image = conjugate_pauli(circuit, s)
+                assert np.allclose(
+                    oracle.dense(image), u @ oracle.dense(s) @ u.conj().T, atol=1e-12
+                ), (gate, s.text())
+
     def test_apply_clifford_matches_dense(self, rng):
         for n in (1, 2):
             for _ in range(10):
@@ -275,6 +289,21 @@ class TestGnstState:
         assert state.subset_moment(setting, (0, 1)) == 0.25
         assert state.subset_moment(setting, (0,)) == 0.0
         assert state.setting_moment(setting) == 0.25
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_compact_and_explicit_table_agree_on_every_subset(self, n, rng):
+        signs = [int(s) for s in rng.choice((-1, 1), size=3**n)]
+        compact = GnstState.compact(n, 0.6, signs)
+        table = GnstState.from_table(
+            n, {s.labels: compact.probabilities(s) for s in all_settings(n)}
+        )
+        for setting in all_settings(n):
+            for r in range(n + 1):
+                for subset in itertools.combinations(range(n), r):
+                    assert table.subset_moment(setting, subset) == pytest.approx(
+                        compact.subset_moment(setting, subset), abs=1e-12
+                    ), (setting.labels, subset)
+        assert compact.subset_moment(all_settings(n)[0], ()) == 1.0
 
     @pytest.mark.parametrize("systems", [(0, 5), (5,), (-1,)])
     def test_subset_moment_rejects_foreign_systems(self, systems):
