@@ -119,6 +119,8 @@ def _load_state(path: str):
         raise click.UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise click.UsageError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise click.UsageError(f"{path} does not hold a JSON object")
     kind = data.get("kind")
     if kind == "coeff":
         return states.CoefficientState.from_json_dict(data)
@@ -132,18 +134,6 @@ def _parse_bits(text: str) -> list[int]:
     if not cleaned or any(c not in "01" for c in cleaned):
         raise click.UsageError(f"expected a 0/1 string, got {text!r}")
     return [int(c) for c in cleaned]
-
-
-def _encode(theory: str, bits: list[int], n: int, p: float):
-    if theory == "gnst":
-        return rac_mod.rac_encode_gnst(bits, n)
-    if theory == "p-gnst":
-        return rac_mod.rac_encode_pgnst(bits, n, p)
-    if theory == "p-bin":
-        return rac_mod.rac_encode_pbin(bits, n, p)
-    if theory == "p-box":
-        return rac_mod.rac_encode_pbin(bits, n, p, restrict_to_xyz=True)
-    raise click.UsageError(f"unknown theory {theory!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +273,7 @@ def rac_params_cmd(theory: str, n: int, p: float, fmt: str) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def rac_encode_cmd(theory: str, n: int, p: float, bits: str, out_path: str | None) -> None:
     """Encode a bit string; JSON state to stdout or --out."""
-    state = _encode(theory, _parse_bits(bits), n, p)
+    state = rac_mod.rac_encode(theory, _parse_bits(bits), n, p)
     text = json.dumps(state.to_json_dict(), sort_keys=True, indent=2)
     if out_path is None:
         click.echo(text)
@@ -322,7 +312,7 @@ def rac_verify_cmd(
         encoded = [draw.randrange(2) for _ in range(params.encoded_bits)]
     else:
         encoded = _parse_bits(bits)
-    state = _encode(theory, encoded, n, p)
+    state = rac_mod.rac_encode(theory, encoded, n, p)
     rng = np.random.default_rng(seed)
     rows: list[tuple] = []
     failures = 0
@@ -361,7 +351,7 @@ def rac_verify_cmd(
 def rac_boost_cmd(n: int, p: float, seed: int, trials: int, index: int, fmt: str) -> None:
     """Monte Carlo failure rate of the majority-boosted code."""
     copies, bound = rac_mod.rac_repetition_params(n, p)
-    encoded_bits = 3**n
+    encoded_bits = rac_mod.rac_params("p-gnst", n, p).encoded_bits
     draw = random.Random(seed)
     bits = [draw.randrange(2) for _ in range(encoded_bits)]
     success = rac_mod.rac_repetition_decode(bits, n, p, index, trials=trials, seed=seed)

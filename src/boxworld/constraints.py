@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, validate_exponent
 from .pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
@@ -119,16 +119,6 @@ class ValidationReport:
         if self.detail:
             out["detail"] = dict(self.detail)
         return out
-
-
-def validate_exponent(p: float) -> float:
-    """Normalize an uncertainty exponent: any float >= 1, or infinity."""
-    if p == math.inf:
-        return p
-    p = float(p)
-    if not p >= 1.0:
-        raise DomainError(f"the exponent must satisfy p >= 1, got {p}")
-    return p
 
 
 def _moment_table(state: StateLike) -> MomentTable:

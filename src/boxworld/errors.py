@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exponent check."""
+
+import math
 
 
 class BoxworldError(Exception):
@@ -31,3 +33,13 @@ class IncompleteMomentError(BoxworldError, KeyError):
 
 class InconsistencyError(BoxworldError):
     """Supplied moments do not correspond to any probability distribution."""
+
+
+def validate_exponent(p: float) -> float:
+    """Normalize an uncertainty exponent: any float >= 1, or infinity."""
+    if p == math.inf:
+        return p
+    p = float(p)
+    if not p >= 1.0:
+        raise DomainError(f"the exponent must satisfy p >= 1, got {p}")
+    return p

@@ -15,8 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .constraints import validate_exponent
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError, validate_exponent
 from .pauli import PauliString, gamma_set, pauli_product
 from .states import (
     CliffordCircuit,

@@ -17,12 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .constraints import validate_exponent
-from .errors import DimensionError, DomainError, ResourceError
+from .errors import DimensionError, DomainError, ResourceError, validate_exponent
 from .rac import (
     RacParams,
     rac_decode,
-    rac_encode_gnst,
     rac_encode_pgnst,
     rac_params,
     rac_repetition_params,
@@ -164,12 +162,9 @@ def simulate_ip_protocol(
     carriers = _carriers_for(len(table))
     padded = table + [0] * (3**carriers - len(table))
     index = sum(bit << (n - 1 - i) for i, bit in enumerate(y)) + 1
+    bit, q = rac_decode(rac_encode_pgnst(padded, carriers, p), index)
     if p == math.inf:
-        state = rac_encode_gnst(padded, carriers)
-        bit, _ = rac_decode(state, index)
         return bit
-    state = rac_encode_pgnst(padded, carriers, p)
-    bit, q = rac_decode(state, index)
     rng = np.random.default_rng(seed)
     return bit if rng.random() < q else 1 - bit
 
@@ -197,12 +192,9 @@ def pir_simulate(
     p = validate_exponent(p)
     carriers = _carriers_for(total)
     padded = list(db) + [0] * (3**carriers - total)
+    bit, per_copy = rac_decode(rac_encode_pgnst(padded, carriers, p), i)
     if p == math.inf:
-        state = rac_encode_gnst(padded, carriers)
-        bit, _ = rac_decode(state, i)
         return bit, carriers
-    state = rac_encode_pgnst(padded, carriers, p)
-    bit, per_copy = rac_decode(state, i)
     copies, _ = rac_repetition_params(carriers, p)
     rng = np.random.default_rng(seed)
     correct = int(rng.binomial(copies, per_copy)) > copies // 2
@@ -243,16 +235,13 @@ def shattering_witness_check(
         ResourceError: if 2**(3**n) witness strings would be needed.
     """
     p = validate_exponent(p)
-    params = rac_params("gnst" if p == math.inf else "p-gnst", n, p)
+    params = rac_params("p-gnst", n, p)
     total = params.encoded_bits
     if 1 << total > 4096:
         raise ResourceError("witness check is exhaustive; use n = 1")
     margin = params.recovery - 0.5
     for bits in itertools.product((0, 1), repeat=total):
-        if p == math.inf:
-            state = rac_encode_gnst(bits, n)
-        else:
-            state = rac_encode_pgnst(bits, n, p)
+        state = rac_encode_pgnst(bits, n, p)
         for j in range(1, total + 1):
             bit, q = rac_decode(state, j)
             prob_one = q if bit == 1 else 1.0 - q

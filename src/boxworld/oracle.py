@@ -460,43 +460,24 @@ def _verify_rac(claim: str, seed: int, cases: int) -> dict:
     from . import rac
     from .constraints import check_local_moments, check_p_uncertainty
 
+    theory = _RAC_CLAIMS[claim]
     rng = np.random.default_rng(seed)
     failures: list[dict] = []
     checked = 0
     for _ in range(cases):
         n = int(rng.integers(1, 3))
         p = [1.0, 2.0, 3.0][int(rng.integers(0, 3))]
-        lam = (2 * n + 1) ** (-1.0 / p)
-        if claim == "pgnstRAC":
-            bits = tuple(int(v) for v in rng.integers(0, 2, size=3**n))
-            state = rac.rac_encode_gnst(bits, n)
-            expected_q = 1.0
-        elif claim == "pRAC":
-            bits = tuple(int(v) for v in rng.integers(0, 2, size=3**n))
-            state = rac.rac_encode_pgnst(bits, n, p)
-            expected_q = 0.5 + 0.5 * lam
-            if not check_p_uncertainty(state, p).passed:
-                failures.append({"n": n, "p": p, "reason": "uncertainty"})
-        elif claim == "pbinRAC":
-            bits = tuple(int(v) for v in rng.integers(0, 2, size=4**n - 1))
-            state = rac.rac_encode_pbin(bits, n, p)
-            expected_q = 0.5 + 0.5 * lam
-            if not check_p_uncertainty(state, p).passed:
-                failures.append({"n": n, "p": p, "reason": "uncertainty"})
-        elif claim == "pnonlocalRAC":
-            bits = tuple(int(v) for v in rng.integers(0, 2, size=3**n))
-            state = rac.rac_encode_pbin(bits, n, p, restrict_to_xyz=True)
-            expected_q = 0.5 + 0.5 * lam
-            if not check_p_uncertainty(state, p).passed:
-                failures.append({"n": n, "p": p, "reason": "uncertainty"})
-            if not check_local_moments(state).passed:
-                failures.append({"n": n, "p": p, "reason": "local-moments"})
-        else:
-            raise DomainError(f"unknown RAC claim {claim!r}")
+        params = rac.rac_params(theory, n, math.inf if theory == "gnst" else p)
+        bits = tuple(int(v) for v in rng.integers(0, 2, size=params.encoded_bits))
+        state = rac.rac_encode(theory, bits, n, p)
+        if theory != "gnst" and not check_p_uncertainty(state, p).passed:
+            failures.append({"n": n, "p": p, "reason": "uncertainty"})
+        if theory == "p-box" and not check_local_moments(state).passed:
+            failures.append({"n": n, "p": p, "reason": "local-moments"})
         for j in range(1, len(bits) + 1):
             decoded, q = rac.rac_decode(state, j)
             checked += 1
-            if decoded != bits[j - 1] or abs(q - expected_q) > 1e-12:
+            if decoded != bits[j - 1] or abs(q - params.recovery) > 1e-12:
                 failures.append({"n": n, "p": p, "j": j})
     return _report(claim, not failures, checked, {"failures": failures[:5]})
 
@@ -527,7 +508,12 @@ _CLAIMS = {
     "chsh": _verify_chsh,
 }
 
-_RAC_CLAIMS = ("pgnstRAC", "pRAC", "pbinRAC", "pnonlocalRAC")
+_RAC_CLAIMS = {
+    "pgnstRAC": "gnst",
+    "pRAC": "p-gnst",
+    "pbinRAC": "p-bin",
+    "pnonlocalRAC": "p-box",
+}
 
 
 def exhaustive_verify(claim: str, seed: int = 0, cases: int = 50) -> dict:

@@ -8,7 +8,8 @@ recovery), probability tables at exponent p, coefficient states over
 every basis string, and coefficient states restricted to letter tensor
 products.  In all of them each address carries the encoded bit in the
 sign of one moment, so recovery succeeds with probability
-(1 + |moment|)/2.
+(1 + |moment|)/2.  :func:`rac_encode` is the one map from a theory
+name to its code.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .constraints import validate_exponent
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError, validate_exponent
 from .pauli import PauliString, full_support_strings, hermitian_basis
 from .states import CoefficientState, FiducialSetting, GnstState, all_settings
 
@@ -28,6 +28,7 @@ __all__ = [
     "RacParams",
     "rac_params",
     "IndexMap",
+    "rac_encode",
     "rac_encode_gnst",
     "rac_encode_pgnst",
     "rac_encode_pbin",
@@ -147,38 +148,34 @@ class IndexMap:
             raise DomainError(f"address {address!r} not in the map") from None
 
 
-def _encode_table(
-    bits: Sequence[int], n: int, lam: float, index_map: IndexMap | None
-) -> GnstState:
-    """Compact table with moment +-lam at each bit's setting."""
-    expected = 3**n
+def _check_bits(bits: Sequence[int], expected: int) -> None:
     if len(bits) != expected:
         raise DimensionError(f"need {expected} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValidationError("bits must be 0 or 1")
-    signs = [-1 if b else 1 for b in bits]
-    if index_map is not None:
-        if index_map.size != expected:
-            raise DimensionError("index map size disagrees with the bit count")
-        by_setting = {
-            address.labels: sign for address, sign in zip(index_map.addresses, signs)
-        }
-        signs = [by_setting[s.labels] for s in all_settings(n)]
-    return GnstState.compact(n, lam, signs)
+
+
+def rac_encode(
+    theory: str, bits: Sequence[int], n: int, p: float = math.inf
+) -> GnstState | CoefficientState:
+    """Encode ``bits`` in the code ``rac_params(theory, n, p)`` describes;
+    ``gnst`` is full strength and ignores ``p``."""
+    if theory == "gnst":
+        return rac_encode_gnst(bits, n)
+    if theory == "p-gnst":
+        return rac_encode_pgnst(bits, n, p)
+    if theory in ("p-bin", "p-box"):
+        return rac_encode_pbin(bits, n, p, restrict_to_xyz=theory == "p-box")
+    raise DomainError(f"unknown theory {theory!r}")
 
 
 def rac_encode_gnst(
     bits: Sequence[int], n: int, index_map: IndexMap | None = None
 ) -> GnstState:
-    """Pack 3**n bits into one n-system table with perfect recovery.
-
-    The setting addressing bit j gets outcome product fixed at
-    (-1)**bits[j]; all lighter moments vanish, so the table is
-    automatically normalized, positive, and no-signaling.  The default
-    map is the identity on the compact sign vector: bit j sets the sign
-    of the j-th setting in lexicographic order.
-    """
-    return _encode_table(bits, n, 1.0, index_map)
+    """Pack 3**n bits into one n-system table with perfect recovery:
+    the code of :func:`rac_encode_pgnst` at p = infinity, whose
+    strength (2n+1)**(-1/p) is exactly 1."""
+    return rac_encode_pgnst(bits, n, math.inf, index_map)
 
 
 def rac_encode_pgnst(
@@ -186,8 +183,9 @@ def rac_encode_pgnst(
 ) -> GnstState:
     """The table code at exponent ``p``: strength (2n+1)**(-1/p).
 
-    Addressing is that of :func:`rac_encode_gnst`.  The strength gives
-    the recovery probability 1/2 + (2n+1)**(-1/p)/2 of
+    Bit j sets the sign of the j-th setting in lexicographic order
+    unless ``index_map`` says otherwise.  The strength gives the
+    recovery probability 1/2 + (2n+1)**(-1/p)/2 of
     :func:`rac_params`.  It saturates the power-sum relation only at
     n = 1, where X, Z and Y form a 3-member anti-commuting family.  For
     n >= 2 the largest anti-commuting family of full-support strings has
@@ -196,7 +194,19 @@ def rac_encode_pgnst(
     and 1 - 4/7, about 0.43, at n = 3, for every finite p.
     """
     p = validate_exponent(p)
-    return _encode_table(bits, n, (2 * n + 1) ** (-1.0 / p), index_map)
+    if n < 1:
+        raise DomainError("need at least one carrier system")
+    expected = 3**n
+    _check_bits(bits, expected)
+    signs = [-1 if b else 1 for b in bits]
+    if index_map is not None:
+        if index_map.size != expected:
+            raise DimensionError("index map size disagrees with the bit count")
+        by_setting = {
+            address.labels: sign for address, sign in zip(index_map.addresses, signs)
+        }
+        signs = [by_setting[s.labels] for s in all_settings(n)]
+    return GnstState.compact(n, (2 * n + 1) ** (-1.0 / p), signs)
 
 
 def rac_encode_pbin(
@@ -211,11 +221,10 @@ def rac_encode_pbin(
     disjoint-support moment checks.
     """
     p = validate_exponent(p)
+    if n < 1:
+        raise DomainError("need at least one carrier system")
     strings = full_support_strings(n) if restrict_to_xyz else tuple(hermitian_basis(n))
-    if len(bits) != len(strings):
-        raise DimensionError(f"need {len(strings)} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValidationError("bits must be 0 or 1")
+    _check_bits(bits, len(strings))
     lam = (2 * n + 1) ** (-1.0 / p)
     coeffs = {
         s.basis_key(): (-lam if bit else lam) for s, bit in zip(strings, bits)

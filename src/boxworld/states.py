@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -30,6 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    BoxworldError,
     DimensionError,
     DomainError,
     IncompleteMomentError,
@@ -127,6 +129,20 @@ def all_settings(n: int) -> tuple[FiducialSetting, ...]:
     )
 
 
+@contextmanager
+def _reading_json() -> Iterator[None]:
+    """Report a missing key or a malformed value in state JSON as a
+    :class:`ValidationError`; the package's own errors pass unchanged."""
+    try:
+        yield
+    except BoxworldError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"state JSON lacks the key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed value in state JSON: {exc}") from exc
+
+
 class MomentTable:
     """Moments of commuting measurement collections, keyed by product string.
 
@@ -147,6 +163,8 @@ class MomentTable:
         values: Mapping[tuple[int, int], float],
         strict: bool = True,
     ):
+        if n < 1:
+            raise DomainError(f"need at least one system, got n = {n}")
         mask = (1 << n) - 1
         for a, b in values:
             if a == 0 and b == 0:
@@ -289,14 +307,15 @@ class CoefficientState(MomentTable):
     def from_json_dict(cls, data: Mapping) -> "CoefficientState":
         if data.get("kind") != "coeff":
             raise ValidationError(f"expected kind 'coeff', got {data.get('kind')!r}")
-        n = int(data["n"])
-        coeffs: dict[tuple[int, int], float] = {}
-        for term in data["terms"]:
-            p = PauliString.from_text(term["pauli"])
-            if p.n != n:
-                raise DimensionError("term length disagrees with declared n")
-            coeffs[p.basis_key()] = float(term["coeff"])
-        return cls(n, coeffs)
+        with _reading_json():
+            n = int(data["n"])
+            coeffs: dict[tuple[int, int], float] = {}
+            for term in data["terms"]:
+                p = PauliString.from_text(term["pauli"])
+                if p.n != n:
+                    raise DimensionError("term length disagrees with declared n")
+                coeffs[p.basis_key()] = float(term["coeff"])
+            return cls(n, coeffs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -461,6 +480,8 @@ class GnstState:
     def compact(
         cls, n: int, lam: float, signs: Sequence[int], tol: float = DEFAULT_TOL
     ) -> "GnstState":
+        if n < 1:
+            raise DomainError(f"need at least one system, got n = {n}")
         lam = float(lam)
         if abs(lam) > 1 + tol:
             raise ValidationError(f"|lam| = {abs(lam)} exceeds 1")
@@ -601,11 +622,12 @@ class GnstState:
     @classmethod
     def from_json_dict(cls, data: Mapping, check: bool = True) -> "GnstState":
         kind = data.get("kind")
-        if kind == "gnst":
-            return cls.compact(int(data["n"]), data["lambda"], data["signs"])
-        if kind == "gnst-table":
-            table = {tuple(s["k"]): s["p"] for s in data["settings"]}
-            return cls.from_table(int(data["n"]), table, check=check)
+        with _reading_json():
+            if kind == "gnst":
+                return cls.compact(int(data["n"]), data["lambda"], data["signs"])
+            if kind == "gnst-table":
+                table = {tuple(s["k"]): s["p"] for s in data["settings"]}
+                return cls.from_table(int(data["n"]), table, check=check)
         raise ValidationError(f"expected a gnst kind, got {kind!r}")
 
     def to_json(self) -> str:

@@ -141,6 +141,29 @@ class TestRacCommands:
         assert payload["empirical_failure"] <= payload["failure_bound"]
 
     @pytest.mark.parametrize(
+        "theory, bits",
+        [
+            ("gnst", "011010011"),
+            ("p-gnst", "011010011"),
+            ("p-bin", "011010011001011"),
+            ("p-box", "011010011"),
+        ],
+    )
+    def test_encode_prints_the_library_state(self, runner, theory, bits):
+        result = invoke(
+            runner, "rac", "encode", "--theory", theory, "--n", "2", "--p", "2",
+            "--bits", bits,
+        )
+        assert result.exit_code == 0
+        state = rac_mod.rac_encode(theory, [int(b) for b in bits], 2, 2.0)
+        assert result.stdout == json.dumps(state.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+    def test_encode_without_systems_is_usage_error(self, runner):
+        result = invoke(runner, "rac", "encode", "--theory", "gnst", "--n", "0", "--bits", "1")
+        assert result.exit_code == 2
+        assert "at least one carrier" in result.stderr
+
+    @pytest.mark.parametrize(
         "args, target",
         [
             (("verify", "--theory", "gnst", "--p", "inf", "--trials", "10"), "rac_encode_gnst"),
@@ -217,6 +240,23 @@ class TestValidateCommand:
         path = tmp_path / "junk.json"
         path.write_text("{\"kind\": \"mystery\"}")
         assert invoke(runner, "validate", "--file", str(path), "--p", "2").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([1, 2], "does not hold a JSON object"),
+            ({"kind": "coeff", "n": 2}, "lacks the key 'terms'"),
+            ({"kind": "gnst", "n": 1, "lambda": "x", "signs": [1, 1, 1]}, "'x'"),
+            ({"kind": "coeff", "n": -1, "terms": []}, "at least one system"),
+        ],
+    )
+    def test_malformed_file_is_usage_error(self, runner, tmp_path, content, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(content))
+        result = invoke(runner, "validate", "--file", str(path))
+        assert result.exit_code == 2
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0]
 
 
 class TestOracleCommand:

@@ -1,4 +1,5 @@
-"""Every top-level import in the package and the tests is used.
+"""Every top-level import in the package and the tests is used, and the
+lower layers never import the upper ones at the top.
 
 A name bound by a module-level import must be read somewhere in the
 module or listed in its ``__all__``.  A deliberate re-export is spelled
@@ -37,3 +38,26 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+LOWER_LAYERS = ("errors", "pauli", "states", "rac", "games", "infotasks")
+UPPER_LAYERS = {"constraints", "oracle", "cli"}
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """Every dotted name a module-level import of ``path`` spells."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            prefix = f"{node.module}." if node.module else ""
+            names |= {prefix + alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("name", LOWER_LAYERS)
+def test_lower_layers_import_no_upper_layer(name):
+    path = ROOT / "src" / "boxworld" / f"{name}.py"
+    named = {part for dotted in top_level_imports(path) for part in dotted.split(".")}
+    assert named & UPPER_LAYERS == set()

@@ -13,6 +13,7 @@ from boxworld.rac import (
     binary_entropy,
     nayak_bound,
     rac_decode,
+    rac_encode,
     rac_encode_gnst,
     rac_encode_pbin,
     rac_encode_pgnst,
@@ -186,6 +187,44 @@ class TestIdentityDefaultMap:
         reversed_map = IndexMap(tuple(all_settings(2))[::-1])
         state = rac_encode_gnst(bits, 2, reversed_map)
         assert state.signs == tuple(1 - 2 * b for b in reversed(bits))
+
+
+class TestOneEncoder:
+    """``rac_encode`` maps each theory to its public encoder."""
+
+    ENCODERS = {
+        "gnst": lambda bits, n, p: rac_encode_gnst(bits, n),
+        "p-gnst": rac_encode_pgnst,
+        "p-bin": rac_encode_pbin,
+        "p-box": lambda bits, n, p: rac_encode_pbin(bits, n, p, restrict_to_xyz=True),
+    }
+
+    @pytest.mark.parametrize("theory", sorted(ENCODERS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, math.inf])
+    def test_dispatch_matches_public_encoder(self, theory, n, p):
+        size = rac_params(theory, n, math.inf if theory == "gnst" else p).encoded_bits
+        bits = [int(b) for b in np.random.default_rng(n).integers(0, 2, size=size)]
+        assert rac_encode(theory, bits, n, p) == self.ENCODERS[theory](bits, n, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_full_strength_is_the_table_code_at_infinity(self, n, reverse):
+        index_map = IndexMap(tuple(all_settings(n))[::-1]) if reverse else None
+        bits = [int(b) for b in np.random.default_rng(n).integers(0, 2, size=3**n)]
+        expected = rac_encode_pgnst(bits, n, math.inf, index_map)
+        assert rac_encode_gnst(bits, n, index_map) == expected
+        assert expected.lam == 1.0
+
+    def test_unknown_theory(self):
+        with pytest.raises(DomainError, match="unknown theory 'p-nonlocal'"):
+            rac_encode("p-nonlocal", [0, 1, 0], 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("theory", sorted(ENCODERS))
+    def test_system_count_below_one(self, theory, n):
+        with pytest.raises(DomainError, match="at least one carrier"):
+            rac_encode(theory, [0, 1, 0], n, 2)
 
 
 class TestCoefficientEncoding:

@@ -34,6 +34,7 @@ from boxworld.states import (
     pr_box_state,
     probabilities_from_moments,
     tensor_product,
+    _reading_json,
 )
 
 
@@ -414,6 +415,63 @@ class TestMomentTable:
         assert not table.strict
         for s, coeff in state.terms():
             assert table.value(s) == coeff
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MomentTable(-2, {}),
+            lambda: MomentTable(0, {}, strict=False),
+            lambda: CoefficientState(-1, {}),
+            lambda: CoefficientState(0, {}),
+            lambda: GnstState.compact(0, 1.0, [1]),
+        ],
+    )
+    def test_system_count_below_one(self, build):
+        with pytest.raises(DomainError, match="at least one system"):
+            build()
+
+
+class TestStateJson:
+    """Malformed state JSON raises ValidationError naming the key or value;
+    the package's own errors keep their type and text."""
+
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            ({"kind": "coeff", "n": 2}, ValidationError, "lacks the key 'terms'"),
+            ({"kind": "coeff", "n": 1, "terms": [{"pauli": "X"}]}, ValidationError, "key 'coeff'"),
+            ({"kind": "coeff", "n": "two", "terms": []}, ValidationError, "'two'"),
+            ({"kind": "coeff", "n": 1, "terms": 5}, ValidationError, "not iterable"),
+            ({"kind": "gnst", "n": 1, "lambda": "x", "signs": [1, 1, 1]}, ValidationError, "'x'"),
+            ({"kind": "gnst", "n": 1, "lambda": 0.5}, ValidationError, "lacks the key 'signs'"),
+            ({"kind": "gnst-table", "n": 1, "settings": [{"k": [1]}]}, ValidationError, "key 'p'"),
+            ({"kind": "coeff", "n": -1, "terms": []}, DomainError, "at least one system"),
+            ({"kind": "gnst", "n": 0, "lambda": 1.0, "signs": [1]}, DomainError, "one system"),
+            ({"kind": "coeff", "n": 1, "terms": [{"pauli": "Q", "coeff": 1}]}, DomainError, "'Q'"),
+            (
+                {"kind": "coeff", "n": 2, "terms": [{"pauli": "X", "coeff": 1}]},
+                DimensionError,
+                "term length",
+            ),
+            (
+                {"kind": "gnst-table", "n": 1, "settings": [{"k": [4], "p": [1]}]},
+                DomainError,
+                "labels must lie",
+            ),
+        ],
+    )
+    def test_from_json_dict_errors(self, data, error, message):
+        cls = CoefficientState if data["kind"] == "coeff" else GnstState
+        with pytest.raises(error, match=message) as info:
+            cls.from_json_dict(data)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("error", [IncompleteMomentError, NoSignalingError, DomainError])
+    def test_reader_keeps_key_and_value_error_subclasses(self, error):
+        with pytest.raises(error, match="^'?kept'?$") as info:
+            with _reading_json():
+                raise error("kept")
+        assert type(info.value) is error
 
 
 class TestMomentConversions:
