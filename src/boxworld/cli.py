@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Mapping
 
 import click
-import numpy as np
 
-from . import constraints, games, infotasks, oracle as oracle_mod, rac as rac_mod, states
-from .errors import BoxworldError, DomainError
+from . import rac as rac_mod, states
+from .errors import BoxworldError, DomainError, validate_exponent
 
 __all__ = [
     "ExperimentConfig",
@@ -160,7 +159,10 @@ _p_option = click.option(
     "--p", "p", type=EXPONENT, default="inf", show_default=True, help="power exponent, 'inf' allowed"
 )
 _seed_option = click.option(
-    "--seed", type=int, default=_env_seed, help="RNG seed (default BOXWORLD_SEED or 0)"
+    "--seed",
+    type=click.IntRange(min=0),
+    default=_env_seed,
+    help="RNG seed (default BOXWORLD_SEED or 0)",
 )
 _tol_option = click.option("--tol", type=float, default=states.DEFAULT_TOL, show_default=True)
 _format_option = click.option(
@@ -174,6 +176,8 @@ _format_option = click.option(
 @_format_option
 def chsh(p: float, tol: float, fmt: str) -> None:
     """Optimal CHSH win probability at exponent p, cross-checked."""
+    from . import games
+
     value = games.chsh_win_probability(p)
     state = games.chsh_optimal_state(p)
     correlator = games.chsh_value(state)
@@ -211,6 +215,8 @@ def xor(
     p: float, seed: int, tol: float, s_count: int, t_count: int, game_kind: str, fmt: str
 ) -> None:
     """Build the optimal strategy for an XOR game and score it."""
+    from . import games
+
     if game_kind == "chsh":
         game = games.chsh_game()
     else:
@@ -273,6 +279,7 @@ def rac_params_cmd(theory: str, n: int, p: float, fmt: str) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def rac_encode_cmd(theory: str, n: int, p: float, bits: str, out_path: str | None) -> None:
     """Encode a bit string; JSON state to stdout or --out."""
+    rac_mod.rac_params(theory, n, p)  # rejects the gnst code at finite p
     state = rac_mod.rac_encode(theory, _parse_bits(bits), n, p)
     text = json.dumps(state.to_json_dict(), sort_keys=True, indent=2)
     if out_path is None:
@@ -306,6 +313,8 @@ def rac_verify_cmd(
     theory: str, n: int, p: float, seed: int, trials: int, bits: str | None, tol: float, fmt: str
 ) -> None:
     """Decode every index of one codeword, exactly and by sampling."""
+    import numpy as np
+
     params = rac_mod.rac_params(theory, n, p)
     if bits is None:
         draw = random.Random(seed)
@@ -384,6 +393,8 @@ def comm() -> None:
 @click.option("--theory", default="p-gnst", show_default=True)
 @_format_option
 def comm_cost_cmd(n: int, p: float, theory: str, fmt: str) -> None:
+    from . import infotasks
+
     result = infotasks.ip_oneway_cost(n, p, theory)
     _emit(result.to_json_dict(), fmt)
 
@@ -396,6 +407,8 @@ def comm_cost_cmd(n: int, p: float, theory: str, fmt: str) -> None:
 @_format_option
 def comm_ip_cmd(x_bits: str, y_bits: str, p: float, seed: int, fmt: str) -> None:
     """Run the protocol on concrete inputs and check the answer."""
+    from . import infotasks
+
     x = _parse_bits(x_bits)
     y = _parse_bits(y_bits)
     decoded = infotasks.simulate_ip_protocol(x, y, p, seed)
@@ -423,6 +436,8 @@ def comm_ip_cmd(x_bits: str, y_bits: str, p: float, seed: int, fmt: str) -> None
 @_format_option
 def pir(db_bits: str, index: int, p: float, seed: int, fmt: str) -> None:
     """Private retrieval: server ships one encoded database."""
+    from . import infotasks
+
     db = _parse_bits(db_bits)
     bit, cost = infotasks.pir_simulate(db, index, p, seed)
     expected = db[index - 1]
@@ -454,6 +469,8 @@ def learn(
     budget: float, p: float, gamma: float, epsilon: float, delta: float, eta: float | None, fmt: str
 ) -> None:
     """Sample-complexity lower bound for learning encoded states."""
+    from . import infotasks
+
     report = infotasks.learnability_threshold(budget, p, gamma, epsilon, delta, eta)
     _emit(report.to_json_dict(), fmt)
 
@@ -465,6 +482,8 @@ def learn(
 @_format_option
 def validate(path: str, p: float, tol: float, fmt: str) -> None:
     """Classify a stored state in the validity hierarchy."""
+    from . import constraints
+
     state = _load_state(path)
     result = constraints.classify_state(state, p, tol=tol)
     for report in result.reports:
@@ -486,6 +505,8 @@ def oracle() -> None:
 @click.option("--cases", type=int, default=50, show_default=True)
 @_format_option
 def oracle_verify_cmd(claim: str, seed: int, cases: int, fmt: str) -> None:
+    from . import oracle as oracle_mod
+
     report = oracle_mod.exhaustive_verify(claim, seed=seed, cases=cases)
     _emit(report, fmt)
     if not report.get("passed", False):
@@ -501,7 +522,9 @@ def _cell(value: object, status: str) -> dict:
 
 def run_summary_table(p: float = 2.0) -> dict:
     """Per-theory property table; computable cells are computed live."""
-    p = constraints.validate_exponent(p)
+    from . import constraints, games
+
+    p = validate_exponent(p)
     win = games.chsh_win_probability(p)
     quantum_win = 0.5 + games.tsirelson_optimize().value / 8.0
     # One representative spot check backs all three p-theory cells.
@@ -597,7 +620,7 @@ def run_psphere(p_list=DEFAULT_PSPHERE_P, samples: int = 128) -> list[tuple[floa
         raise DomainError("need at least 4 samples per curve")
     points: list[tuple[float, float, float]] = []
     for p in p_list:
-        p = constraints.validate_exponent(p)
+        p = validate_exponent(p)
         if p == math.inf:
             raise DomainError("use a large finite p for sphere plots")
         for k in range(samples):

@@ -184,11 +184,15 @@ def _heaviest_anticommuting_set(
     """
     keys = sorted(keys, key=weight.__getitem__, reverse=True)
     w = [weight[k] for k in keys]
-    packed = np.array(keys, dtype=np.uint8)  # n <= 4: every key is below 4**4
+    packed = np.array(keys, dtype=np.min_scalar_type((1 << 2 * n) - 1))  # uint8 up to n = 4
     a, b = packed & (1 << n) - 1, packed >> n
     odd = (a[:, None] & b) ^ (b[:, None] & a)
-    odd ^= odd >> 2  # fold the parity of the (at most four) bits into bit 0
-    odd ^= odd >> 1
+    # Fold the parity of the n bits into bit 0: shifts 2, 1 up to n = 4,
+    # then 4, 2, 1 up to n = 8, and so on.
+    shift = 1 << max(1, (n - 1).bit_length() - 1)
+    while shift:
+        odd ^= odd >> shift
+        shift >>= 1
     rows = np.packbits(odd & 1, axis=1, bitorder="little")
     data, width = rows.tobytes(), rows.shape[1]
     adj = [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(keys))]

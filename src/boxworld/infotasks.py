@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DimensionError, DomainError, ResourceError, validate_exponent
 from .rac import (
     RacParams,
@@ -165,6 +163,8 @@ def simulate_ip_protocol(
     bit, q = rac_decode(rac_encode_pgnst(padded, carriers, p), index)
     if p == math.inf:
         return bit
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return bit if rng.random() < q else 1 - bit
 
@@ -195,6 +195,8 @@ def pir_simulate(
     bit, per_copy = rac_decode(rac_encode_pgnst(padded, carriers, p), i)
     if p == math.inf:
         return bit, carriers
+    import numpy as np
+
     copies, _ = rac_repetition_params(carriers, p)
     rng = np.random.default_rng(seed)
     correct = int(rng.binomial(copies, per_copy)) > copies // 2

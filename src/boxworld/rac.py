@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DimensionError, DomainError, ValidationError, validate_exponent
 from .pauli import PauliString, full_support_strings, hermitian_basis
 from .states import CoefficientState, FiducialSetting, GnstState, all_settings
@@ -64,7 +62,7 @@ class RacParams:
 
     def __post_init__(self) -> None:
         if self.encoded_bits < 1 or self.carriers < 1:
-            raise DomainError("need at least one encoded bit and one carrier")
+            raise DomainError("need at least one carrier and one encoded bit")
         if not 0.5 <= self.recovery <= 1.0:
             raise DomainError(f"recovery probability {self.recovery} outside [1/2, 1]")
         if self.theory not in THEORIES:
@@ -331,6 +329,8 @@ def rac_repetition_decode(
     """
     if trials < 1:
         raise DomainError("need at least one trial")
+    import numpy as np
+
     state = rac_encode_pgnst(bits, n, p)
     _, per_copy = rac_decode(state, j)
     copies, _ = rac_repetition_params(n, p)

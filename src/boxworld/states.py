@@ -26,9 +26,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BoxworldError,
@@ -41,6 +39,9 @@ from .errors import (
     ValidationError,
 )
 from .pauli import PauliString, commutes, product_of
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FIDUCIAL_LETTERS",
@@ -214,6 +215,8 @@ class MomentTable:
         Entry 0 is the identity's moment, 1.  Absent strings read NaN in
         a strict table and 0 otherwise.
         """
+        import numpy as np
+
         out = np.full(1 << 2 * self._n, np.nan if self._strict else 0.0)
         out[0] = 1.0
         for (a, b), value in self._values.items():
@@ -565,6 +568,8 @@ class GnstState:
             if len(chosen) == self._n:
                 return self._signs[self._setting_index(setting)] * self._lam
             return 0.0 if chosen else 1.0
+        import numpy as np
+
         row = _characters(1 << self._n)[_column(self._n, chosen)]
         return float(np.dot(self.probabilities(setting), row))
 
@@ -729,6 +734,8 @@ def _characters(size: int) -> np.ndarray:
     Walsh-Hadamard transform.  It also maps an outcome distribution to
     its subset moments (:func:`_column`), and back when divided by size.
     """
+    import numpy as np
+
     signs = np.ones((1, 1))
     while len(signs) < size:
         signs = np.block([[signs, signs], [signs, -signs]])
@@ -795,6 +802,8 @@ def moments_from_probabilities(
         keys = map(_setting_key, all_settings(n))
         values = {key: sign * state.lam for key, sign in zip(keys, state.signs)}
         return MomentTable(n, values, strict=False)
+    import numpy as np
+
     settings = state.settings()
     rows = [state.probabilities(setting) for setting in settings]
     for setting, probs in zip(settings, rows):
@@ -839,6 +848,8 @@ def probabilities_from_moments(
         IncompleteMomentError: if a required subset moment is absent.
         InconsistencyError: if any recovered probability is below -tol.
     """
+    import numpy as np
+
     mu = np.array([moments.value(s) for s in _collection_products(collection)])
     probs = (_characters(len(mu)) @ mu / len(mu)).tolist()
     result = dict(zip(all_outcomes(len(collection)), probs))

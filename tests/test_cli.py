@@ -150,13 +150,23 @@ class TestRacCommands:
         ],
     )
     def test_encode_prints_the_library_state(self, runner, theory, bits):
+        p = "inf" if theory == "gnst" else "2"  # the full-strength code is p = inf only
         result = invoke(
-            runner, "rac", "encode", "--theory", theory, "--n", "2", "--p", "2",
+            runner, "rac", "encode", "--theory", theory, "--n", "2", "--p", p,
             "--bits", bits,
         )
         assert result.exit_code == 0
-        state = rac_mod.rac_encode(theory, [int(b) for b in bits], 2, 2.0)
+        state = rac_mod.rac_encode(theory, [int(b) for b in bits], 2, float(p))
         assert result.stdout == json.dumps(state.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "command, extra", [("params", ()), ("encode", ("--bits", "010")), ("verify", ())]
+    )
+    def test_gnst_at_finite_p_is_usage_error(self, runner, command, extra):
+        result = invoke(runner, "rac", command, "--theory", "gnst", "--n", "1", "--p", "2", *extra)
+        assert result.exit_code == 2
+        assert "requires p = inf" in result.stderr
+        assert result.stdout == ""
 
     def test_encode_without_systems_is_usage_error(self, runner):
         result = invoke(runner, "rac", "encode", "--theory", "gnst", "--n", "0", "--bits", "1")
@@ -366,6 +376,22 @@ class TestSeedEnvironment:
         assert from_env.exit_code == explicit.exit_code == 0
         assert from_env.stdout == explicit.stdout
 
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (("comm", "ip", "--x", "1", "--y", "1", "--p", "2", "--seed", "-1"), {}),
+            (("pir", "--db", "0110101", "--index", "3", "--p", "2"), {"BOXWORLD_SEED": "-3"}),
+        ],
+        ids=["flag", "environment"],
+    )
+    def test_negative_seed_is_usage_error(self, runner, args, env):
+        result = runner.invoke(main, list(args), env=env)
+        assert result.exit_code == 2
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
+        assert len(errors) == 1 and "--seed" in errors[0]
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+
     def test_bad_env_seed(self, runner):
         result = runner.invoke(
             main, ["comm", "ip", "--x", "1", "--y", "1", "--p", "inf"],
@@ -399,3 +425,93 @@ class TestImportIsLazy:
         for info in infos:
             assert info["currsize"] == 0
             assert info["maxsize"] is not None and info["maxsize"] > 0
+
+
+# The exact stdout of each seeded sampling command.  numpy is imported
+# where it is used; every default_rng(seed) must still draw the same stream.
+SEEDED_OUTPUTS = [
+    (
+        (
+            "rac", "verify", "--theory", "p-gnst", "--n", "1", "--p", "2",
+            "--seed", "7", "--trials", "200", "--format", "json",
+        ),
+        """\
+{
+  "failures": 0,
+  "n": 1,
+  "p": 2.0,
+  "records": [
+    {
+      "empirical_q": 0.76,
+      "exact_q": 0.7886751345948129,
+      "index": 1,
+      "trials": 200
+    },
+    {
+      "empirical_q": 0.8,
+      "exact_q": 0.7886751345948129,
+      "index": 2,
+      "trials": 200
+    },
+    {
+      "empirical_q": 0.83,
+      "exact_q": 0.7886751345948129,
+      "index": 3,
+      "trials": 200
+    }
+  ],
+  "theory": "p-gnst"
+}
+""",
+    ),
+    (
+        ("comm", "ip", "--x", "1011", "--y", "0110", "--p", "2", "--seed", "3"),
+        """\
+{
+  "decoded": 1,
+  "expected": 1,
+  "match": true,
+  "p": 2.0,
+  "x": "1011",
+  "y": "0110"
+}
+""",
+    ),
+    (
+        ("pir", "--db", "0110101", "--index", "3", "--p", "2", "--seed", "5"),
+        """\
+{
+  "carriers_sent": 26,
+  "database_bits": 7,
+  "expected": 1,
+  "index": 3,
+  "match": true,
+  "p": 2.0,
+  "retrieved": 1
+}
+""",
+    ),
+    (
+        ("rac", "boost", "--n", "1", "--p", "2", "--seed", "2", "--trials", "50"),
+        """\
+{
+  "copies": 7,
+  "empirical_failure": 0.020000000000000018,
+  "failure_bound": 0.8412400521082296,
+  "n": 1,
+  "p": 2.0,
+  "trials": 50,
+  "within_bound": true
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, expected", SEEDED_OUTPUTS, ids=["rac-verify", "comm-ip", "pir", "rac-boost"]
+)
+def test_seeded_outputs_are_pinned(runner, args, expected):
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    assert result.stdout == expected

@@ -500,6 +500,30 @@ class TestCliqueSearch:
             assert len(state.keys()) <= 100
             self.assert_matches_maximal_sets(state, (1.5, 2.0, 3.0))
 
+    def test_five_system_alphabets_match_subset_search(self, rng):
+        """Packed keys reach 1023 at n = 5, and the parity fold must see
+        the fifth system's bit."""
+        n = 5
+        for size in (12, 13, 14, 15, 16):
+            keys = [int(k) for k in rng.choice(np.arange(1, 4**n), size=size, replace=False)]
+            weight = dict(zip(keys, rng.random(size).tolist()))
+            strings = {k: PauliString.hermitian(n, k & (1 << n) - 1, k >> n) for k in keys}
+            best, best_members = 0.0, []
+
+            def grow(members, candidates, total):
+                # Every pairwise anti-commuting subset, one member at a time.
+                nonlocal best, best_members
+                if total > best:
+                    best, best_members = total, members
+                for i, k in enumerate(candidates):
+                    rest = [c for c in candidates[i + 1 :] if not commutes(strings[k], strings[c])]
+                    grow([*members, k], rest, total + weight[k])
+
+            grow([], keys, 0.0)
+            total, members, _ = constraints._heaviest_anticommuting_set(n, keys, weight)
+            assert abs(total - best) <= 1e-12
+            assert sorted(members) == sorted(best_members)
+
     def test_empty_alphabet(self):
         report = check_p_uncertainty(MomentTable(3, {}, strict=True), 2)
         assert (report.margin, report.worst_set) == (1.0, ())

@@ -1,5 +1,6 @@
-"""Every top-level import in the package and the tests is used, and the
-lower layers never import the upper ones at the top.
+"""Every top-level import in the package and the tests is used, the
+lower layers never import the upper ones at the top, and the modules of
+the combinatorial commands load no numpy.
 
 A name bound by a module-level import must be read somewhere in the
 module or listed in its ``__all__``.  A deliberate re-export is spelled
@@ -7,9 +8,15 @@ module or listed in its ``__all__``.  A deliberate re-export is spelled
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import boxworld
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.glob("src/boxworld/*.py"), *ROOT.glob("tests/*.py")])
@@ -61,3 +68,71 @@ def test_lower_layers_import_no_upper_layer(name):
     path = ROOT / "src" / "boxworld" / f"{name}.py"
     named = {part for dotted in top_level_imports(path) for part in dotted.split(".")}
     assert named & UPPER_LAYERS == set()
+
+
+# Modules whose import must not load numpy: the combinatorial commands
+# (CHSH, the table codes, the protocols at p = inf) need no linear algebra.
+NUMPY_FREE = ("errors", "pauli", "states", "rac", "games", "infotasks", "cli")
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_no_module_level_numpy_import(name):
+    path = ROOT / "src" / "boxworld" / f"{name}.py"
+    assert "numpy" not in {dotted.partition(".")[0] for dotted in top_level_imports(path)}
+
+
+RUN_COMMANDS = """\
+import json, sys
+from boxworld.cli import main
+loaded = ["numpy" in sys.modules]
+for args in json.loads(sys.argv[1]):
+    main.main(args=args, standalone_mode=False)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+NUMPY_FREE_COMMANDS = {
+    "chsh": [["chsh", "--p", "2"]],
+    "xor": [["xor", "--p", "3"], ["xor", "--game", "random", "--s-count", "3", "--seed", "5"]],
+    "rac-params": [["rac", "params", "--n", "2", "--p", "2"]],
+    "rac-encode-decode": [
+        ["rac", "encode", "--theory", "gnst", "--n", "2", "--bits", "011010011",
+         "--out", "{dir}/a.json"],
+        ["rac", "decode", "--file", "{dir}/a.json", "--index", "4"],
+        ["rac", "encode", "--n", "2", "--p", "2", "--bits", "011010011", "--out", "{dir}/b.json"],
+        ["rac", "decode", "--file", "{dir}/b.json", "--index", "4"],
+    ],
+    "comm-cost": [["comm", "cost", "--n", "3", "--p", "2"]],
+    "comm-ip": [["comm", "ip", "--x", "1011001101", "--y", "0110110010"]],
+    "pir": [["pir", "--db", "011010110011010110101", "--index", "7"]],
+    "learn": [
+        ["learn", "--budget", "100", "--p", "2", "--gamma", "0.1", "--epsilon", "0.1",
+         "--delta", "0.1"],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE_COMMANDS)
+def test_command_loads_no_numpy(command, tmp_path):
+    argv = [[arg.format(dir=tmp_path) for arg in args] for args in NUMPY_FREE_COMMANDS[command]]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_COMMANDS, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    # One flag after the import and one after each command.
+    assert json.loads(out.stdout.splitlines()[-1]) == [False] * (len(argv) + 1)
+
+
+def test_every_public_name_resolves():
+    for name in boxworld.__all__:
+        assert getattr(boxworld, name) is not None, name
+    assert set(boxworld.__all__) <= set(dir(boxworld))
+    namespace = {}
+    exec("from boxworld import *", namespace)
+    assert {name: namespace[name] for name in boxworld.__all__} == {
+        name: getattr(boxworld, name) for name in boxworld.__all__
+    }
