@@ -30,7 +30,6 @@ _EXPORTS = {
         "gamma_set",
         "hermitian_basis",
         "full_support_strings",
-        "maximal_anticommuting_sets",
         "pauli_product",
         "symplectic_form",
     ),
@@ -105,90 +104,10 @@ _EXPORTS = {
         "shattering_witness_check",
         "simulate_ip_protocol",
     ),
-    "oracle": ("oracle",),
+    "oracle": ("maximal_anticommuting_sets", "oracle"),
 }
 
-__all__ = [
-    "BoxworldError",
-    "DimensionError",
-    "DomainError",
-    "IncompleteMomentError",
-    "InconsistencyError",
-    "NoSignalingError",
-    "ResourceError",
-    "ValidationError",
-    "PauliString",
-    "commutes",
-    "gamma_set",
-    "hermitian_basis",
-    "full_support_strings",
-    "maximal_anticommuting_sets",
-    "pauli_product",
-    "symplectic_form",
-    "CliffordCircuit",
-    "CoefficientState",
-    "FiducialSetting",
-    "GnstState",
-    "MomentTable",
-    "all_outcomes",
-    "all_settings",
-    "apply_clifford",
-    "tensor_product",
-    "ClassificationResult",
-    "ValidationReport",
-    "check_commuting_moments",
-    "check_local_moments",
-    "check_p_uncertainty",
-    "check_psd",
-    "classify_state",
-    "maximal_commuting_sets",
-    "moment_matrix",
-    "two_measurement_eigenvalues",
-    "two_measurement_moment_matrix",
-    "two_measurement_sylvester",
-    "uncertainty_margin",
-    "validate_exponent",
-    "validate_gnst",
-    "TsirelsonResult",
-    "XorGame",
-    "XorStrategy",
-    "build_xor_game_state",
-    "chsh_game",
-    "chsh_optimal_state",
-    "chsh_type_games",
-    "chsh_value",
-    "chsh_win_probability",
-    "pgnst_chsh_state",
-    "random_xor_game",
-    "tsirelson_optimize",
-    "xor_game_value",
-    "IndexMap",
-    "RacParams",
-    "binary_entropy",
-    "nayak_bound",
-    "rac_decode",
-    "rac_encode_gnst",
-    "rac_encode_pbin",
-    "rac_encode_pgnst",
-    "rac_learning_params",
-    "rac_params",
-    "rac_repetition_decode",
-    "rac_repetition_params",
-    "CommProtocolResult",
-    "LearnParams",
-    "LearnabilityReport",
-    "SampleComplexityBound",
-    "fat_shattering_lower_bound",
-    "inner_product",
-    "ip_oneway_cost",
-    "learnability_threshold",
-    "pir_simulate",
-    "sample_complexity_lower_bound",
-    "shattering_witness_check",
-    "simulate_ip_protocol",
-    "oracle",
-    "__version__",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
 
 
 def __getattr__(name: str):

@@ -41,7 +41,6 @@ from .pauli import (
     PauliString,
     gamma_set,
     maximal_commuting_sets,
-    product_of,
 )
 from .states import (
     DEFAULT_TOL,
@@ -373,27 +372,30 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
         yield ((first,),) + partition
 
 
-def _part_strings(n: int, part: tuple[int, ...]) -> list[PauliString]:
-    out = []
-    for letters in itertools.product("XZY", repeat=len(part)):
-        singles = [
-            PauliString.single(n, pos, letter) for pos, letter in zip(part, letters)
-        ]
-        out.append(product_of(singles, n=n))
-    return out
-
-
 def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
     """Maximal collections of strings with pairwise disjoint supports.
 
     One collection per (system partition, letter assignment): each part
     of the partition carries one string supported on exactly that part.
     Every disjoint-support collection embeds in one of these, so its
-    moment matrix is a principal submatrix of a maximal one.
+    moment matrix is a principal submatrix of a maximal one.  A part's
+    strings run over the letters X, Z, Y, its first position most
+    significant.
     """
+    xzy = ((1, 0), (0, 1), (1, 1))
     for partition in _set_partitions(tuple(range(n))):
-        for choice in itertools.product(*(_part_strings(n, part) for part in partition)):
-            yield choice
+        parts = [
+            [
+                PauliString.hermitian(
+                    n,
+                    sum(a << pos for pos, (a, _) in zip(part, letters)),
+                    sum(b << pos for pos, (_, b) in zip(part, letters)),
+                )
+                for letters in itertools.product(xzy, repeat=len(part))
+            ]
+            for part in partition
+        ]
+        yield from itertools.product(*parts)
 
 
 def _group(members: Sequence[int], n: int) -> tuple[list[int], list[int]]:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceError
-from .pauli import PauliString, hermitian_basis
+from .pauli import AntiCommutingSet, PauliString, hermitian_basis, symplectic_form
 from .states import CliffordCircuit, CoefficientState
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "subset_moment_vector",
     "hadamard_factorization_check",
     "grid_max_chsh",
+    "maximal_cliques",
+    "maximal_anticommuting_sets",
     "random_quantum_state",
     "random_valid_state",
     "random_circuit",
@@ -270,6 +272,61 @@ def grid_max_chsh(points_per_axis: int = 1000) -> float:
     x, y = np.meshgrid(axis, axis)
     feasible = x**2 + y**2 <= 1.0
     return float((2.0 * (x + y))[feasible].max())
+
+
+# ---------------------------------------------------------------------------
+# clique enumeration: the reference for the clique search and the
+# Lagrangian enumeration
+# ---------------------------------------------------------------------------
+
+
+def maximal_cliques(
+    strings: Sequence[PauliString], form: int
+) -> tuple[tuple[PauliString, ...], ...]:
+    """Every maximal subset of ``strings`` whose pairs all have symplectic
+    form ``form`` (0 = commuting, 1 = anti-commuting), sorted by letters.
+
+    Pivoted Bron-Kerbosch over the pairwise relation as bit-masks.
+    """
+    strings = tuple(strings)
+    adj = [
+        sum(1 << j for j, t in enumerate(strings) if j != i and symplectic_form(s, t) == form)
+        for i, s in enumerate(strings)
+    ]
+    cliques: list[int] = []
+
+    def extend(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            cliques.append(r)
+            return
+        pool = p | x
+        pivot = max(
+            (v for v in range(pool.bit_length()) if pool >> v & 1),
+            key=lambda v: (p & adj[v]).bit_count(),
+        )
+        candidates = p & ~adj[pivot]
+        while candidates:
+            bit = candidates & -candidates
+            v = bit.bit_length() - 1
+            extend(r | bit, p & adj[v], x & adj[v])
+            candidates ^= bit
+            p ^= bit
+            x |= bit
+
+    extend(0, (1 << len(strings)) - 1, 0)
+    out = [tuple(s for i, s in enumerate(strings) if r >> i & 1) for r in cliques]
+    return tuple(sorted(out, key=lambda c: tuple(s.letters() for s in c)))
+
+
+def maximal_anticommuting_sets(
+    strings: Sequence[PauliString],
+) -> tuple[AntiCommutingSet, ...]:
+    """Every maximal pairwise anti-commuting subset of ``strings``.
+
+    Maximality is relative to the supplied alphabet: no further member
+    of ``strings`` can be added.
+    """
+    return tuple(AntiCommutingSet(c) for c in maximal_cliques(strings, 1))
 
 
 # ---------------------------------------------------------------------------

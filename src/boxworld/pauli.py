@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DimensionError, DomainError, ResourceError
 
@@ -36,9 +36,7 @@ __all__ = [
     "gamma_set",
     "hermitian_basis",
     "full_support_strings",
-    "maximal_anticommuting_sets",
     "maximal_commuting_sets",
-    "enumerate_anticommuting_sets",
 ]
 
 _LETTER_TO_AB = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -46,10 +44,7 @@ _AB_TO_LETTER = {v: k for k, v in _LETTER_TO_AB.items()}
 _TAG_TO_PHASE = {"+1": 0, "+i": 1, "-1": 2, "-i": 3, "−1": 2, "−i": 3}
 _PHASE_TO_TAG = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
-# Enumerating every maximal anti-commuting set over all 4**n - 1 strings
-# is gated here; maximal commuting sets are enumerated up to one system
-# further.
-MAX_ENUMERATION_SYSTEMS = 3
+# Maximal commuting sets are enumerated up to this many systems.
 MAX_COMMUTING_SYSTEMS = 4
 
 
@@ -347,61 +342,6 @@ def full_support_strings(n: int) -> tuple[PauliString, ...]:
     return tuple(out)
 
 
-def _relation_masks(strings: Sequence[PauliString], form: int) -> list[int]:
-    masks = [0] * len(strings)
-    for i, s in enumerate(strings):
-        for j in range(i + 1, len(strings)):
-            if symplectic_form(s, strings[j]) == form:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
-def _bron_kerbosch(adj: list[int], r: int, p: int, x: int, out: list[int]) -> None:
-    if p == 0 and x == 0:
-        out.append(r)
-        return
-    pool = p | x
-    pivot = max(
-        (v for v in range(pool.bit_length()) if pool >> v & 1),
-        key=lambda v: (p & adj[v]).bit_count(),
-    )
-    candidates = p & ~adj[pivot]
-    while candidates:
-        v = (candidates & -candidates).bit_length() - 1
-        bit = 1 << v
-        _bron_kerbosch(adj, r | bit, p & adj[v], x & adj[v], out)
-        candidates &= ~bit
-        p &= ~bit
-        x |= bit
-
-
-def _maximal_cliques(
-    strings: tuple[PauliString, ...], form: int
-) -> list[tuple[PauliString, ...]]:
-    """Every maximal subset of ``strings`` whose pairs all have symplectic
-    form ``form`` (0 = commuting, 1 = anti-commuting), sorted by letters."""
-    cliques: list[int] = []
-    _bron_kerbosch(_relation_masks(strings, form), 0, (1 << len(strings)) - 1, 0, cliques)
-    out = [
-        tuple(strings[i] for i in range(len(strings)) if mask >> i & 1)
-        for mask in cliques
-    ]
-    out.sort(key=lambda c: tuple(s.letters() for s in c))
-    return out
-
-
-def maximal_anticommuting_sets(
-    strings: Sequence[PauliString],
-) -> tuple[AntiCommutingSet, ...]:
-    """Every maximal pairwise anti-commuting subset of ``strings``.
-
-    Maximality is relative to the supplied alphabet: no further member
-    of ``strings`` can be added.
-    """
-    return tuple(AntiCommutingSet(c) for c in _maximal_cliques(tuple(strings), 1))
-
-
 @lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
 def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
     """All maximal pairwise commuting collections of non-identity strings.
@@ -457,17 +397,3 @@ def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
     letters = [s.letters() for s in basis]
     sets.sort(key=lambda members: [letters[i] for i in members])
     return tuple(tuple(basis[i] for i in members) for members in sets)
-
-
-def enumerate_anticommuting_sets(n: int) -> tuple[AntiCommutingSet, ...]:
-    """All maximal anti-commuting sets over every non-identity string.
-
-    Raises:
-        ResourceError: for n > 3.
-    """
-    if n > MAX_ENUMERATION_SYSTEMS:
-        raise ResourceError(
-            f"exhaustive enumeration is limited to n <= {MAX_ENUMERATION_SYSTEMS}"
-        )
-    return maximal_anticommuting_sets(tuple(hermitian_basis(n)))
-

@@ -184,12 +184,13 @@ def rac_encode_pgnst(
     Bit j sets the sign of the j-th setting in lexicographic order
     unless ``index_map`` says otherwise.  The strength gives the
     recovery probability 1/2 + (2n+1)**(-1/p)/2 of
-    :func:`rac_params`.  It saturates the power-sum relation only at
-    n = 1, where X, Z and Y form a 3-member anti-commuting family.  For
-    n >= 2 the largest anti-commuting family of full-support strings has
-    fewer than 2n+1 members (3 at n = 2, 4 at n = 3), so the code keeps
-    slack: its exhaustive uncertainty margin is 1 - 3/5 = 0.40 at n = 2
-    and 1 - 4/7, about 0.43, at n = 3, for every finite p.
+    :func:`rac_params`.  It saturates the power-sum relation at n = 1,
+    where X, Z and Y form a 3-member anti-commuting family, and at
+    n = 4, where 9 = 2n+1 full-support strings pairwise anti-commute.
+    At n = 2 and 3 the largest anti-commuting family of full-support
+    strings is smaller than 2n+1 (3 and 4 members), so the code keeps
+    slack: its exhaustive uncertainty margin is 1 - 3/5 = 2/5 at n = 2
+    and 1 - 4/7 = 3/7 at n = 3, for every finite p.
     """
     p = validate_exponent(p)
     if n < 1:

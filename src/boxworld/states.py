@@ -232,11 +232,6 @@ class MomentTable:
                 )
         return self.value(product_of(collection, n=self._n))
 
-    @classmethod
-    def from_coefficient_state(cls, state: CoefficientState) -> "MomentTable":
-        """A lenient copy of a coefficient state's moments."""
-        return cls(state.n, state._values, strict=False)
-
 
 class CoefficientState(MomentTable):
     """A state given by real coefficients on Hermitian basis strings.

@@ -29,7 +29,6 @@ from boxworld.errors import DomainError, IncompleteMomentError, ResourceError
 from boxworld.pauli import (
     PauliString,
     commutes,
-    maximal_anticommuting_sets,
     pauli_product,
     product_of,
 )
@@ -472,7 +471,7 @@ class TestCliqueSearch:
         set of the non-zero alphabet, enumerated by Bron-Kerbosch."""
         table = constraints._moment_table(state)
         alphabet = [s for s in table.strings() if table.value(s) != 0.0]
-        sets = maximal_anticommuting_sets(alphabet) if alphabet else ()
+        sets = oracle.maximal_anticommuting_sets(alphabet) if alphabet else ()
         for p in exponents:
             power_sum = lambda members: sum(abs(table.value(s)) ** p for s in members)
             report = check_p_uncertainty(state, p)

@@ -9,11 +9,9 @@ from boxworld.pauli import (
     AntiCommutingSet,
     PauliString,
     commutes,
-    enumerate_anticommuting_sets,
     full_support_strings,
     gamma_set,
     hermitian_basis,
-    maximal_anticommuting_sets,
     pauli_product,
     product_of,
     symplectic_form,
@@ -263,12 +261,12 @@ class TestBases:
 
 class TestAntiCommutingSets:
     def test_single_system_maximal(self):
-        sets = enumerate_anticommuting_sets(1)
+        sets = oracle.maximal_anticommuting_sets(hermitian_basis(1))
         assert len(sets) == 1
         assert {s.letters() for s in sets[0]} == {"X", "Z", "Y"}
 
     def test_sets_are_cliques(self):
-        for members in enumerate_anticommuting_sets(2):
+        for members in oracle.maximal_anticommuting_sets(hermitian_basis(2)):
             assert len(members) <= 5
             listed = tuple(members)
             for i, s in enumerate(listed):
@@ -277,13 +275,9 @@ class TestAntiCommutingSets:
 
     def test_alphabet_relative_maximality(self):
         alphabet = [PauliString.from_text(t) for t in ("X", "Z")]
-        sets = maximal_anticommuting_sets(alphabet)
+        sets = oracle.maximal_anticommuting_sets(alphabet)
         assert len(sets) == 1
         assert len(sets[0]) == 2
-
-    def test_enumeration_gate(self):
-        with pytest.raises(ResourceError):
-            enumerate_anticommuting_sets(4)
 
     def test_construction_rejects_commuting_members(self):
         with pytest.raises(DomainError):
@@ -307,7 +301,7 @@ class TestLagrangianEnumeration:
     def test_equals_clique_reference(self, n, count):
         sets = pauli.maximal_commuting_sets(n)
         assert len(sets) == count == np.prod([2**k + 1 for k in range(1, n + 1)])
-        assert sets == tuple(pauli._maximal_cliques(tuple(hermitian_basis(n)), 0))
+        assert sets == oracle.maximal_cliques(hermitian_basis(n), 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sets_are_closed_commuting_subspaces(self, n):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from boxworld import oracle
+from boxworld.constraints import check_p_uncertainty
 from boxworld.errors import DimensionError, DomainError, ValidationError
 from boxworld.pauli import full_support_strings, hermitian_basis
 from boxworld.rac import (
@@ -125,6 +127,19 @@ class TestTableEncoding:
         for j, setting in enumerate(all_settings(2), start=1):
             moment = state.setting_moment(setting)
             assert (moment < 0) == bool(bits[j - 1])
+
+    @pytest.mark.parametrize("n,margin,size", [(1, 0.0, 3), (2, 2 / 5, 3), (3, 3 / 7, 4), (4, 0.0, 9)])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_uncertainty_margin(self, n, margin, size, p):
+        """The code saturates the power-sum relation at n = 1 and 4; at
+        n = 2 and 3 no 2n+1 full-support strings pairwise anti-commute."""
+        bits = [j % 3 % 2 for j in range(3**n)]
+        report = check_p_uncertainty(rac_encode_pgnst(bits, n, p), p)
+        assert abs(report.margin - margin) <= 1e-12
+        assert len(report.worst_set) == size
+        if n <= 3:
+            sets = oracle.maximal_anticommuting_sets(full_support_strings(n))
+            assert max(map(len, sets)) == size
 
     def test_custom_index_map(self):
         reversed_map = IndexMap(tuple(all_settings(1))[::-1])

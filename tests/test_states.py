@@ -410,11 +410,16 @@ class TestMomentTable:
             MomentTable(1, {(0, 0): -1.0})
 
     def test_from_coefficient_state(self):
-        state = CoefficientState(2, {(1, 0): 0.5, (2, 2): -0.25})
-        table = MomentTable.from_coefficient_state(state)
-        assert not table.strict
+        """A coefficient state is the lenient table of its coefficients."""
+        coefficients = {(1, 0): 0.5, (2, 2): -0.25}
+        state = CoefficientState(2, coefficients)
+        assert isinstance(state, MomentTable)
+        assert not state.strict
+        table = MomentTable(2, coefficients, strict=False)
+        assert state.keys() == table.keys()
+        assert np.array_equal(state.vector(), table.vector())
         for s, coeff in state.terms():
-            assert table.value(s) == coeff
+            assert state.value(s) == coeff
 
     @pytest.mark.parametrize(
         "build",
@@ -591,7 +596,7 @@ class TestMomentTransform:
     def test_inversion_matches_loop_formula(self, m, rng):
         collections = maximal_commuting_sets(3)
         for _ in range(10):
-            table = MomentTable.from_coefficient_state(oracle.random_quantum_state(3, rng))
+            table = oracle.random_quantum_state(3, rng)
             members = collections[int(rng.integers(len(collections)))]
             collection = [
                 members[i] if rng.integers(2) else -members[i]
