@@ -305,7 +305,7 @@ def rac_decode_cmd(path: str, index: int, fmt: str) -> None:
 @click.option("--n", type=int, required=True)
 @_p_option
 @_seed_option
-@click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True)
 @click.option("--bits", default=None, help="bit string to test (default: seeded random)")
 @_tol_option
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv", show_default=True)
@@ -502,7 +502,7 @@ def oracle() -> None:
 @oracle.command("verify")
 @click.option("--claim", required=True, help="claim identifier")
 @_seed_option
-@click.option("--cases", type=int, default=50, show_default=True)
+@click.option("--cases", type=click.IntRange(min=1), default=50, show_default=True)
 @_format_option
 def oracle_verify_cmd(claim: str, seed: int, cases: int, fmt: str) -> None:
     from . import oracle as oracle_mod

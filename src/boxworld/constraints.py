@@ -40,6 +40,7 @@ from .pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
     gamma_set,
+    hermitian_basis,
     maximal_commuting_sets,
 )
 from .states import (
@@ -379,22 +380,14 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
     of the partition carries one string supported on exactly that part.
     Every disjoint-support collection embeds in one of these, so its
     moment matrix is a principal submatrix of a maximal one.  A part's
-    strings run over the letters X, Z, Y, its first position most
-    significant.
+    strings keep :func:`hermitian_basis` order: letters X, Z, Y, its
+    first position most significant.
     """
-    xzy = ((1, 0), (0, 1), (1, 1))
+    by_support: dict[int, list[PauliString]] = {}
+    for s in hermitian_basis(n):
+        by_support.setdefault(s.a | s.b, []).append(s)
     for partition in _set_partitions(tuple(range(n))):
-        parts = [
-            [
-                PauliString.hermitian(
-                    n,
-                    sum(a << pos for pos, (a, _) in zip(part, letters)),
-                    sum(b << pos for pos, (_, b) in zip(part, letters)),
-                )
-                for letters in itertools.product(xzy, repeat=len(part))
-            ]
-            for part in partition
-        ]
+        parts = (by_support[sum(1 << i for i in part)] for part in partition)
         yield from itertools.product(*parts)
 
 

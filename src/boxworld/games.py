@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError, ValidationError, validate_exponent
-from .pauli import PauliString, gamma_set, pauli_product
+from .pauli import PauliString, gamma_set, letter_digits, pauli_product
 from .states import (
     CliffordCircuit,
     CoefficientState,
@@ -83,8 +83,6 @@ def chsh_optimal_state(p: float) -> CoefficientState:
 CHSH_XY_PAIRS = (("X", "Y"), ("X", "Y"))
 CHSH_XZ_PAIRS = (("X", "Z"), ("X", "Z"))
 
-_LETTER_TO_LABEL = {"X": 1, "Z": 2, "Y": 3}
-
 
 def chsh_value(
     state: CoefficientState | GnstState | MomentTable,
@@ -102,9 +100,7 @@ def chsh_value(
         first, second = pairs[0][s], pairs[1][t]
         sign = -1.0 if s == 1 and t == 1 else 1.0
         if isinstance(state, GnstState):
-            setting = FiducialSetting(
-                (_LETTER_TO_LABEL[first], _LETTER_TO_LABEL[second])
-            )
+            setting = FiducialSetting(tuple(letter_digits(first + second)))
             corr = state.setting_moment(setting)
         else:
             corr = state.value(PauliString.from_text(first + second))
@@ -275,6 +271,8 @@ def chsh_type_games() -> tuple[XorGame, ...]:
 
 def random_xor_game(s_count: int, t_count: int, seed: int = 0) -> XorGame:
     """Uniform question distribution, seeded random winning parities."""
+    if s_count < 1 or t_count < 1:
+        raise DomainError("each party needs at least one question")
     rng = random.Random(seed)
     weight = 1.0 / (s_count * t_count)
     pi = tuple((weight,) * t_count for _ in range(s_count))

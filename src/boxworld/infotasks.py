@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import DimensionError, DomainError, ResourceError, validate_exponent
@@ -72,15 +72,7 @@ class CommProtocolResult:
             raise DomainError(f"correctness {self.correctness} outside [0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "input_bits": self.input_bits,
-            "theory": self.theory,
-            "carriers": self.carriers,
-            "correctness": self.correctness,
-            "exact": self.exact,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def ip_oneway_cost(n: int, p: float, theory: str = "p-gnst") -> CommProtocolResult:
@@ -270,13 +262,7 @@ class SampleComplexityBound:
     precondition_threshold: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "first_branch": self.first_branch,
-            "second_branch": self.second_branch,
-            "value": self.value,
-            "precondition_ok": self.precondition_ok,
-            "precondition_threshold": self.precondition_threshold,
-        }
+        return asdict(self)
 
 
 def sample_complexity_lower_bound(
@@ -339,15 +325,7 @@ class LearnParams:
         return "degenerate (gamma = eta)"
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "eta": self.eta,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "dimension": self.dimension,
-            "sample_bound": self.sample_bound,
-            "regime": self.regime,
-        }
+        return {**asdict(self), "regime": self.regime}
 
 
 @dataclass(frozen=True)
@@ -367,10 +345,7 @@ class LearnabilityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "carriers": self.carriers,
-            "dimension": self.dimension,
-            "bound": self.bound.to_json_dict(),
-            "asymptotic": self.asymptotic,
+            **asdict(self),
             "params": self.params.to_json_dict(),
             "threshold": self.threshold,
         }

@@ -578,7 +578,12 @@ def exhaustive_verify(claim: str, seed: int = 0, cases: int = 50) -> dict:
 
     Returns a report dict with at least ``claim``, ``passed`` and
     ``cases``; failed runs include a sample of failing configurations.
+
+    Raises:
+        DomainError: on an unknown claim or fewer than one case.
     """
+    if cases < 1:
+        raise DomainError(f"need at least one case, got {cases}")
     if claim in _CLAIMS:
         return _CLAIMS[claim](seed, cases)
     if claim in _RAC_CLAIMS:

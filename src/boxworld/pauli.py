@@ -37,15 +37,42 @@ __all__ = [
     "hermitian_basis",
     "full_support_strings",
     "maximal_commuting_sets",
+    "digit_masks",
+    "letter_digits",
 ]
 
-_LETTER_TO_AB = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_AB_TO_LETTER = {v: k for k, v in _LETTER_TO_AB.items()}
+_LETTERS = "IXZY"  # indexed by the digit of :func:`digit_masks`
+_LETTER_TO_DIGIT = {letter: d for d, letter in enumerate(_LETTERS)}
 _TAG_TO_PHASE = {"+1": 0, "+i": 1, "-1": 2, "-i": 3, "−1": 2, "−i": 3}
 _PHASE_TO_TAG = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 
 # Maximal commuting sets are enumerated up to this many systems.
 MAX_COMMUTING_SYSTEMS = 4
+
+
+def digit_masks(digits: Iterable[int]) -> tuple[int, int]:
+    """Exponent masks ``(a, b)`` of one digit per system, system 0 first.
+
+    Digit ``d = a_i | b_i << 1`` in 0..3, so 0, 1, 2 and 3 are I, X, Z
+    and Y; the fiducial labels 1, 2 and 3 are the same digits.
+
+    Examples:
+        >>> digit_masks([1, 2, 3])
+        (5, 6)
+    """
+    a = b = 0
+    for i, d in enumerate(digits):
+        a |= (d & 1) << i
+        b |= (d >> 1) << i
+    return a, b
+
+
+def letter_digits(letters: Iterable[str]) -> list[int]:
+    """The IXZY digit of each letter; any other raises :class:`DomainError`."""
+    try:
+        return [_LETTER_TO_DIGIT[letter] for letter in letters]
+    except KeyError as exc:
+        raise DomainError(f"unknown Pauli letter {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,11 +116,8 @@ class PauliString:
         """A single-system letter embedded at ``position`` (Hermitian)."""
         if not 0 <= position < n:
             raise DimensionError(f"position {position} outside 0..{n - 1}")
-        try:
-            a_bit, b_bit = _LETTER_TO_AB[letter]
-        except KeyError:
-            raise DomainError(f"unknown Pauli letter {letter!r}") from None
-        return cls.hermitian(n, a_bit << position, b_bit << position)
+        a, b = digit_masks(letter_digits([letter]))
+        return cls.hermitian(n, a << position, b << position)
 
     @classmethod
     def from_text(cls, text: str) -> "PauliString":
@@ -116,18 +140,9 @@ class PauliString:
             tag_phase, letters = 0, parts[0]
         else:
             raise DomainError(f"cannot parse Pauli text {text!r}")
-        a = b = 0
-        for i, letter in enumerate(letters):
-            try:
-                a_bit, b_bit = _LETTER_TO_AB[letter]
-            except KeyError:
-                raise DomainError(f"unknown Pauli letter {letter!r}") from None
-            a |= a_bit << i
-            b |= b_bit << i
-        n = len(letters)
-        if n == 0:
-            raise DomainError("empty Pauli text")
-        return cls(n, a, b, tag_phase + (a & b).bit_count())
+        digits = letter_digits(letters)
+        a, b = digit_masks(digits)
+        return cls(len(digits), a, b, tag_phase + (a & b).bit_count())
 
     # -- structure ----------------------------------------------------
 
@@ -180,7 +195,7 @@ class PauliString:
 
     def letters(self) -> str:
         return "".join(
-            _AB_TO_LETTER[(self.a >> i & 1, self.b >> i & 1)] for i in range(self.n)
+            _LETTERS[(self.a >> i & 1) | (self.b >> i & 1) << 1] for i in range(self.n)
         )
 
     def text(self) -> str:
@@ -316,30 +331,16 @@ def hermitian_basis(n: int, include_identity: bool = False) -> Iterator[PauliStr
     significant, which matches the index maps used by the encoders.
     """
     for digits in itertools.product(range(4), repeat=n):
-        if not include_identity and all(d == 0 for d in digits):
-            continue
-        a = b = 0
-        for i, d in enumerate(digits):
-            a_bit, b_bit = _DIGIT_TO_AB[d]
-            a |= a_bit << i
-            b |= b_bit << i
-        yield PauliString.hermitian(n, a, b)
-
-
-_DIGIT_TO_AB = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
+        if include_identity or any(digits):
+            yield PauliString.hermitian(n, *digit_masks(digits))
 
 
 def full_support_strings(n: int) -> tuple[PauliString, ...]:
     """The 3**n Hermitian strings with no identity factor, lexicographic."""
-    out = []
-    for digits in itertools.product((1, 2, 3), repeat=n):
-        a = b = 0
-        for i, d in enumerate(digits):
-            a_bit, b_bit = _DIGIT_TO_AB[d]
-            a |= a_bit << i
-            b |= b_bit << i
-        out.append(PauliString.hermitian(n, a, b))
-    return tuple(out)
+    return tuple(
+        PauliString.hermitian(n, *digit_masks(digits))
+        for digits in itertools.product((1, 2, 3), repeat=n)
+    )
 
 
 @lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, ValidationError, validate_exponent
-from .pauli import PauliString, full_support_strings, hermitian_basis
+from .pauli import PauliString, digit_masks, full_support_strings, hermitian_basis
 from .states import CoefficientState, FiducialSetting, GnstState, all_settings
 
 __all__ = [
@@ -248,13 +248,11 @@ def _default_coefficient_address(state: CoefficientState, j: int) -> PauliString
         base, offset, size = 4, 0, 4**n - 1
     if not 1 <= j <= size:
         raise DomainError(f"index {j} outside 1..{size}")
-    rest, a, b = j - offset, 0, 0
-    for i in reversed(range(n)):
+    rest, digits = j - offset, []
+    for _ in range(n):
         rest, digit = divmod(rest, base)
-        digit += offset
-        a |= (digit & 1) << i
-        b |= (digit >> 1) << i
-    return PauliString.hermitian(n, a, b)
+        digits.append(digit + offset)
+    return PauliString.hermitian(n, *digit_masks(reversed(digits)))
 
 
 def rac_decode(

@@ -38,13 +38,12 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .pauli import PauliString, commutes, product_of
+from .pauli import PauliString, commutes, digit_masks, product_of
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "FIDUCIAL_LETTERS",
     "FiducialSetting",
     "all_settings",
     "OutcomeVector",
@@ -62,10 +61,6 @@ __all__ = [
     "probabilities_from_moments",
     "marginalize",
 ]
-
-# Fiducial labels: 1 measures X, 2 measures Z, 3 measures XZ (the Y
-# basis element in Hermitian form).
-FIDUCIAL_LETTERS = {1: "X", 2: "Z", 3: "Y"}
 
 DEFAULT_TOL = 1e-9
 
@@ -87,7 +82,12 @@ def all_outcomes(m: int) -> Iterator[OutcomeVector]:
 
 @dataclass(frozen=True, slots=True)
 class FiducialSetting:
-    """One fiducial measurement label per system, each in {1, 2, 3}."""
+    """One fiducial measurement label per system, each in {1, 2, 3}.
+
+    Label 1 measures X, 2 measures Z and 3 measures XZ (the Y basis
+    element in Hermitian form): the labels are the digits of
+    :func:`~boxworld.pauli.digit_masks`.
+    """
 
     labels: tuple[int, ...]
 
@@ -106,12 +106,16 @@ class FiducialSetting:
         return self.subset_pauli(range(self.n))
 
     def subset_pauli(self, systems: Iterable[int]) -> PauliString:
-        chosen = sorted(set(systems))
-        strings = [
-            PauliString.single(self.n, i, FIDUCIAL_LETTERS[self.labels[i]])
-            for i in chosen
-        ]
-        return product_of(strings, n=self.n)
+        """The product string of the chosen systems' measurements.
+
+        Raises:
+            DimensionError: if a system lies outside 0..n-1.
+        """
+        chosen = set(systems)
+        if min(chosen, default=0) < 0 or max(chosen, default=0) >= self.n:
+            raise DimensionError(f"systems {sorted(chosen)} out of range for n={self.n}")
+        digits = (k if i in chosen else 0 for i, k in enumerate(self.labels))
+        return PauliString.hermitian(self.n, *digit_masks(digits))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.labels)
@@ -183,9 +187,6 @@ class MomentTable:
     @property
     def strict(self) -> bool:
         return self._strict
-
-    def has(self, p: PauliString) -> bool:
-        return p.is_identity or p.basis_key() in self._values
 
     def keys(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._values))
@@ -620,22 +621,22 @@ class GnstState:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, check: bool = True) -> "GnstState":
+    def from_json_dict(cls, data: Mapping) -> "GnstState":
         kind = data.get("kind")
         with _reading_json():
             if kind == "gnst":
                 return cls.compact(int(data["n"]), data["lambda"], data["signs"])
             if kind == "gnst-table":
                 table = {tuple(s["k"]): s["p"] for s in data["settings"]}
-                return cls.from_table(int(data["n"]), table, check=check)
+                return cls.from_table(int(data["n"]), table)
         raise ValidationError(f"expected a gnst kind, got {kind!r}")
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, check: bool = True) -> "GnstState":
-        return cls.from_json_dict(json.loads(text), check=check)
+    def from_json(cls, text: str) -> "GnstState":
+        return cls.from_json_dict(json.loads(text))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GnstState):
@@ -764,12 +765,6 @@ def _collection_products(collection: Sequence[PauliString]) -> list[PauliString]
     return out
 
 
-def _setting_key(setting: FiducialSetting) -> tuple[int, int]:
-    """Exponent masks of a setting's string; label k is X**(k & 1) Z**(k >> 1)."""
-    digits = list(enumerate(setting.labels))
-    return sum((k & 1) << i for i, k in digits), sum((k >> 1) << i for i, k in digits)
-
-
 def moments_from_probabilities(
     state: GnstState | Mapping[Sequence[int], Sequence[float]],
     tol: float = DEFAULT_TOL,
@@ -794,7 +789,7 @@ def moments_from_probabilities(
         )
     n = state.n
     if state.is_compact:
-        keys = map(_setting_key, all_settings(n))
+        keys = (digit_masks(setting.labels) for setting in all_settings(n))
         values = {key: sign * state.lam for key, sign in zip(keys, state.signs)}
         return MomentTable(n, values, strict=False)
     import numpy as np
@@ -813,7 +808,7 @@ def moments_from_probabilities(
     ]
     first: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = {}
     for setting, row in zip(settings, (np.array(rows) @ _characters(1 << n)).tolist()):
-        a, b = _setting_key(setting)
+        a, b = digit_masks(setting.labels)
         for mask, column in subsets:
             key = (a & mask, b & mask)
             value, source = first.setdefault(key, (row[column], setting.labels))

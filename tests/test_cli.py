@@ -280,6 +280,25 @@ class TestOracleCommand:
         assert invoke(runner, "oracle", "verify", "--claim", "nope").exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("oracle", "verify", "--claim", "inclusion", "--cases", "0"),
+        ("oracle", "verify", "--claim", "inclusion", "--cases", "-3"),
+        ("rac", "verify", "--n", "1", "--trials", "0"),
+        ("rac", "verify", "--n", "1", "--trials", "-1"),
+        ("xor", "--game", "random", "--s-count", "0"),
+        ("xor", "--game", "random", "--t-count", "0"),
+    ],
+    ids=["cases-0", "cases-neg", "trials-0", "trials-neg", "s-count-0", "t-count-0"],
+)
+def test_count_below_one_is_usage_error(runner, args):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+
+
 class TestTableCommand:
     def test_json_contents(self, runner):
         result = invoke(runner, "table", "--p", "2")

@@ -177,6 +177,11 @@ class TestXorGame:
         assert random_xor_game(3, 3, 0) == random_xor_game(3, 3, 0)
         assert random_xor_game(3, 3, 0).wins != random_xor_game(3, 3, 1).wins
 
+    @pytest.mark.parametrize("counts", [(0, 2), (2, 0)])
+    def test_random_game_needs_questions(self, counts):
+        with pytest.raises(DomainError, match="at least one question"):
+            random_xor_game(*counts)
+
 
 class TestXorStrategy:
     def test_chsh_at_two_matches_quantum_bound(self):

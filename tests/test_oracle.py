@@ -207,6 +207,11 @@ class TestClaimVerifiers:
         with pytest.raises(DomainError):
             oracle.exhaustive_verify("halting-problem")
 
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_no_cases_is_no_pass(self, cases):
+        with pytest.raises(DomainError):
+            oracle.exhaustive_verify("inclusion", cases=cases)
+
     def test_counterexample_is_deterministic(self):
         report = oracle.exhaustive_verify("operations-pbox-counterexample")
         assert report["image_margin"] == pytest.approx(-1.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,9 +11,11 @@ from boxworld.pauli import (
     AntiCommutingSet,
     PauliString,
     commutes,
+    digit_masks,
     full_support_strings,
     gamma_set,
     hermitian_basis,
+    letter_digits,
     pauli_product,
     product_of,
     symplectic_form,
@@ -67,8 +71,9 @@ class TestConstruction:
         assert PauliString.single(2, 1, "Y").letters() == "IY"
 
     def test_single_bad_letter(self):
-        with pytest.raises(DomainError):
-            PauliString.single(1, 0, "W")
+        for letter in ("W", "Q", "", "XY"):
+            with pytest.raises(DomainError):
+                PauliString.single(1, 0, letter)
 
     def test_single_bad_position(self):
         with pytest.raises(DimensionError):
@@ -113,6 +118,24 @@ class TestConstruction:
     def test_basis_key_identifies_letters(self, s):
         assert s.basis_key() == (s.a, s.b)
         assert PauliString.hermitian(s.n, *s.basis_key()).letters() == s.letters()
+
+
+class TestLetterCode:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_digits_round_trip_through_text(self, n):
+        for digits in itertools.product(range(4), repeat=n):
+            text = "".join("IXZY"[d] for d in digits)
+            s = PauliString.from_text(text)
+            assert letter_digits(text) == list(digits)
+            assert digit_masks(letter_digits(text)) == s.basis_key()
+            assert s.letters() == text
+            # X and Y carry an X exponent, Z and Y a Z exponent.
+            assert s.a == sum(1 << i for i, c in enumerate(text) if c in "XY")
+            assert s.b == sum(1 << i for i, c in enumerate(text) if c in "ZY")
+
+    def test_unknown_letter(self):
+        with pytest.raises(DomainError, match="'Q'"):
+            letter_digits("XQZ")
 
 
 class TestAlgebra:

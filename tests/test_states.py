@@ -16,7 +16,13 @@ from boxworld.errors import (
     ResourceError,
     ValidationError,
 )
-from boxworld.pauli import PauliString, full_support_strings, maximal_commuting_sets, product_of
+from boxworld.pauli import (
+    PauliString,
+    digit_masks,
+    full_support_strings,
+    maximal_commuting_sets,
+    product_of,
+)
 from boxworld.states import (
     MAX_COLLECTION_SIZE,
     CliffordCircuit,
@@ -76,6 +82,16 @@ class TestFiducialSetting:
         s = FiducialSetting((1, 2, 3))
         assert s.subset_pauli([0, 2]).letters() == "XIY"
         assert s.subset_pauli([1]).letters() == "IZI"
+
+    @pytest.mark.parametrize("system", [5, -1])
+    def test_subset_pauli_out_of_range(self, system):
+        with pytest.raises(DimensionError):
+            FiducialSetting((1, 2, 3)).subset_pauli([system])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_labels_are_digits(self, n):
+        for setting in all_settings(n):
+            assert setting.pauli().basis_key() == digit_masks(setting.labels)
 
     def test_all_settings_lexicographic(self):
         labels = [s.labels for s in all_settings(2)]
