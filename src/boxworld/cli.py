@@ -489,6 +489,8 @@ def validate(path: str, p: float, tol: float, fmt: str) -> None:
     for report in result.reports:
         status = "pass" if report.passed else "FAIL"
         click.echo(f"{report.constraint}: {status} (margin {report.margin:.6g})", err=True)
+    if result.stopped:
+        click.echo("{}: not run ({})".format(*result.stopped), err=True)
     _emit(result.to_json_dict(), fmt)
     if result.level == "invalid":
         sys.exit(1)

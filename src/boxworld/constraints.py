@@ -7,12 +7,13 @@ that a seeded search looks for violations.  Positivity
 of moment matrices over disjoint-support collections tightens it; the
 same condition over maximal commuting collections tightens it further;
 and positive-semidefiniteness of the density matrix reconstructed from
-the moments is the top of the ladder.  ``classify_state`` reads the
-state's moments once, as a :class:`MomentTable`, walks the levels in
-order on that table and reports the first failure.  Both positivity
-rungs take the smallest eigenvalue of a collection's group matrix
-``mu[i xor j]`` (:func:`moment_matrix`), which is the minimum of the
-Walsh-Hadamard transform of its subset moments ``mu``.  Each rung keeps
+the moments, by a Walsh-Hadamard transform, is the top of the
+ladder.  ``classify_state`` reads the state's moments once, as a
+:class:`MomentTable`, walks the levels in order on that table and
+reports the first failure, or the first rung too large to run.  Both
+positivity rungs take the smallest eigenvalue of a collection's group
+matrix ``mu[i xor j]`` (:func:`moment_matrix`), which is the minimum of
+the Walsh-Hadamard transform of its subset moments ``mu``.  Each rung keeps
 one plan per n, the dense-vector index and sign of every subset product
 of every collection, so a state's moments are read once into a vector
 and the collections of each size are transformed in one matrix product.
@@ -539,25 +540,18 @@ def _density_matrix(table: MomentTable) -> np.ndarray:
     """rho = 2**-n (identity + sum over known moments of m_k sigma_k).
 
     The basis element sigma_(a,b) = i**|a & b| X**a Z**b maps |j> to
-    i**|a & b| (-1)**|j & b| |j xor a>, so each moment adds one signed
-    permutation.  Bit i of a basis index is system i, the reverse of the
-    kron order; the spectrum does not depend on the order.  Moments are
-    added in the order of their keys ``a | b << n``; an entry of rho is
-    touched only by a = row xor column, so each entry sums its terms in
-    the order of b.
+    i**|a & b| (-1)**|j & b| |j xor a>, so entry (j xor a, j) of 2**n rho
+    is the Walsh-Hadamard transform over b of m_(a,b) i**|a & b|, taken
+    at j.  Bit i of a basis index is system i, the reverse of the kron
+    order; the spectrum does not depend on the order.  Unknown (NaN)
+    moments count as zero.
     """
-    n, dim = table.n, 1 << table.n
+    dim = 1 << table.n
     idx = np.arange(dim)
-    parity = np.array([j.bit_count() & 1 for j in range(dim)])
-    rho = np.eye(dim, dtype=complex)
-    moments = table.vector().tolist()
-    for k in range(1, len(moments)):  # entry 0 is the identity
-        m = moments[k]
-        if not m or math.isnan(m):  # zero or unknown
-            continue
-        a, b = k & dim - 1, k >> n
-        rho[idx ^ a, idx] += m * 1j ** (a & b).bit_count() * (1 - 2 * parity[idx & b])
-    return rho / dim
+    weight = np.array([j.bit_count() for j in range(dim)])[idx[:, None] & idx]
+    terms = np.nan_to_num(table.vector()).reshape(dim, dim).T  # rows a, columns b
+    columns = (terms * np.array([1, 1j, -1, -1j])[weight & 3]) @ _characters(dim)
+    return columns[idx[:, None] ^ idx, idx] / dim
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +565,24 @@ class ClassificationResult:
 
     ``level`` is one of :data:`LEVELS`; ``reports`` holds every check
     that ran, in order, the last one being the first failure (if any).
+    ``stopped`` is ``(constraint, reason)`` when a rung could not run at
+    the state's size, which ended the walk; ``level`` is then the one
+    that rung's failure would give.
     """
 
     level: str
     reports: tuple[ValidationReport, ...]
+    stopped: tuple[str, str] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "level": self.level,
             "reports": [r.to_json_dict() for r in self.reports],
         }
+        if self.stopped:
+            constraint, reason = self.stopped
+            out["stopped"] = {"constraint": constraint, "reason": reason}
+        return out
 
 
 def classify_state(
@@ -591,30 +593,29 @@ def classify_state(
     The state's moments are read once; every rung checks that table.
     Moments the state does not determine are treated as zero when the
     reconstructed density matrix is tested, so for partial tables the
-    top level asserts consistency of one completion, not of all.
-
-    Raises:
-        ResourceError: beyond four systems, from the commuting rung, if
-            the state passes the rungs below it.
+    top level asserts consistency of one completion, not of all.  A rung
+    that raises :class:`ResourceError` (local beyond five systems,
+    commuting beyond four) ends the walk at the level its failure would
+    give and is named in ``stopped``.
     """
     table = _moment_table(state)
+    density = lambda: replace(check_psd(_density_matrix(table), tol=tol), constraint="density-psd")
+    rungs = (
+        ("p-uncertainty", lambda: check_p_uncertainty(table, p, tol=tol)),
+        ("local-moments", lambda: check_local_moments(table, tol=tol)),
+        ("commuting-moments", lambda: check_commuting_moments(table, tol=tol)),
+        ("density-psd", density),
+    )
     reports: list[ValidationReport] = []
-    first = check_p_uncertainty(table, p, tol=tol)
-    reports.append(first)
-    if not first.passed:
-        return ClassificationResult("invalid", tuple(reports))
-    local = check_local_moments(table, tol=tol)
-    reports.append(local)
-    if not local.passed:
-        return ClassificationResult("p-bin", tuple(reports))
-    commuting = check_commuting_moments(table, tol=tol)
-    reports.append(commuting)
-    if not commuting.passed:
-        return ClassificationResult("p-box", tuple(reports))
-    density = replace(check_psd(_density_matrix(table), tol=tol), constraint="density-psd")
-    reports.append(density)
-    level = "quantum-consistent" if density.passed else "p-nonlocal"
-    return ClassificationResult(level, tuple(reports))
+    for level, (name, check) in zip(LEVELS, rungs):
+        try:
+            report = check()
+        except ResourceError as exc:
+            return ClassificationResult(level, tuple(reports), (name, str(exc)))
+        reports.append(report)
+        if not report.passed:
+            return ClassificationResult(level, tuple(reports))
+    return ClassificationResult(LEVELS[-1], tuple(reports))
 
 
 # ---------------------------------------------------------------------------

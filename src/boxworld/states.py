@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,7 +158,8 @@ class MomentTable:
     behavior for operationally defined tables, while lenient ones, such
     as every :class:`CoefficientState`, treat absent strings as zero.
     The identity's moment is fixed at 1 and cannot be stored; a key
-    beyond ``n`` systems raises :class:`DimensionError`.
+    beyond ``n`` systems raises :class:`DimensionError`, and a NaN or
+    infinite value raises :class:`ValidationError`.
     """
 
     __slots__ = ("_n", "_values", "_strict")
@@ -171,11 +173,15 @@ class MomentTable:
         if n < 1:
             raise DomainError(f"need at least one system, got n = {n}")
         mask = (1 << n) - 1
-        for a, b in values:
+        for (a, b), value in values.items():
             if a == 0 and b == 0:
                 raise ValidationError("the identity has fixed moment 1")
             if a & ~mask or b & ~mask:
                 raise DimensionError("moment key exceeds the system count")
+            if not math.isfinite(float(value)):
+                raise ValidationError(
+                    f"moment {value} of {PauliString.hermitian(n, a, b).text()} is not finite"
+                )
         self._n = n
         self._values = dict(values)
         self._strict = strict
@@ -429,7 +435,10 @@ class GnstState:
     construction.  The table form stores explicit probability vectors
     for any subset of the 3**n settings and is validated on
     construction unless ``check=False`` (reserved for adversarial test
-    fixtures and for the report-style validator).
+    fixtures, for the report-style validator and for
+    :func:`moments_from_probabilities`, which checks normalization and
+    overlaps itself).  A non-finite ``lam`` or probability, and a
+    vector of the wrong length, raise :class:`ValidationError` always.
     """
 
     __slots__ = ("_n", "_table", "_lam", "_signs")
@@ -467,6 +476,8 @@ class GnstState:
                     f"outcome vector for {labels} has length {len(vec)}, "
                     f"expected {1 << n}"
                 )
+            if not all(map(math.isfinite, vec)):
+                raise ValidationError(f"outcome vector for {labels} is not finite: {vec}")
             stored[setting.labels] = vec
         if not stored:
             raise ValidationError("a table state needs at least one setting")
@@ -482,6 +493,8 @@ class GnstState:
         if n < 1:
             raise DomainError(f"need at least one system, got n = {n}")
         lam = float(lam)
+        if not math.isfinite(lam):
+            raise ValidationError(f"lam = {lam} is not finite")
         if abs(lam) > 1 + tol:
             raise ValidationError(f"|lam| = {abs(lam)} exceeds 1")
         signs = tuple(int(s) for s in signs)

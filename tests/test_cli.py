@@ -5,12 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import boxworld
-from boxworld import rac as rac_mod
+from boxworld import oracle, rac as rac_mod
 from boxworld.cli import ExperimentConfig, main, run_named, run_psphere, run_summary_table
+from boxworld.constraints import classify_state
 from boxworld.errors import DomainError
 from boxworld.games import chsh_win_probability
 from boxworld.rac import rac_encode_pbin
@@ -258,6 +260,12 @@ class TestValidateCommand:
             ({"kind": "coeff", "n": 2}, "lacks the key 'terms'"),
             ({"kind": "gnst", "n": 1, "lambda": "x", "signs": [1, 1, 1]}, "'x'"),
             ({"kind": "coeff", "n": -1, "terms": []}, "at least one system"),
+            ({"kind": "coeff", "n": 1, "terms": [{"pauli": "X", "coeff": math.nan}]}, "not finite"),
+            ({"kind": "gnst", "n": 1, "lambda": math.nan, "signs": [1, 1, 1]}, "not finite"),
+            (
+                {"kind": "gnst-table", "n": 1, "settings": [{"k": [1], "p": [math.nan, 0.5]}]},
+                "not finite",
+            ),
         ],
     )
     def test_malformed_file_is_usage_error(self, runner, tmp_path, content, message):
@@ -267,6 +275,18 @@ class TestValidateCommand:
         assert result.exit_code == 2
         errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]
+
+    def test_five_systems_report_the_rungs_that_ran(self, runner, tmp_path):
+        state = oracle.random_quantum_state(5, np.random.default_rng(0))
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(state.to_json_dict()))
+        result = invoke(runner, "validate", "--file", str(path), "--p", "2")
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload == json.loads(json.dumps(classify_state(state, 2).to_json_dict()))
+        assert payload["level"] == "p-box"
+        assert payload["stopped"]["constraint"] == "commuting-moments"
+        assert "commuting-moments: not run (" in result.stderr
 
 
 class TestOracleCommand:

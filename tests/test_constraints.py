@@ -27,6 +27,7 @@ from boxworld.constraints import (
 )
 from boxworld.errors import DomainError, IncompleteMomentError, ResourceError
 from boxworld.pauli import (
+    MAX_COMMUTING_SYSTEMS,
     PauliString,
     commutes,
     pauli_product,
@@ -547,6 +548,29 @@ class TestLadderPaths:
         expected = oracle.min_eigenvalue(oracle.dense(state))
         assert abs(report.margin - expected) <= 1e-12
 
+    def test_density_rung_matches_oracle_at_five_systems(self, rng):
+        """The walk stops before the density rung at n = 5, so the rung
+        is called directly."""
+        bits = [int(b) for b in rng.integers(0, 2, size=4**5 - 1)]
+        for state in (oracle.random_quantum_state(5, rng), rac_encode_pbin(bits, 5, 2)):
+            margin = check_psd(constraints._density_matrix(state)).margin
+            assert abs(margin - oracle.min_eigenvalue(oracle.dense(state))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_positivity_rungs_are_bounded_by_the_density_matrix(self, n, rng):
+        """Every collection's group-matrix eigenvalue is 2**m tr(rho Pi)
+        for a projector Pi of rank 2**(n - m), so on complete tables
+        local >= commuting >= 2**n lambda_min(rho)."""
+        for state in ladder_families(n, rng):
+            table = constraints._moment_table(state)
+            if np.isnan(table.vector()).any():
+                continue
+            local = check_local_moments(table).margin
+            commuting = check_commuting_moments(table).margin
+            density = check_psd(constraints._density_matrix(table)).margin
+            assert local >= commuting - 1e-12
+            assert commuting >= (1 << n) * density - 1e-12
+
     def test_density_rung_matches_oracle_on_pr_box(self):
         result = classify_state(pr_box_state(), math.inf)
         assert result.level == "p-nonlocal"
@@ -633,8 +657,31 @@ class TestClassification:
     def test_json_shape(self):
         state = CoefficientState(1, {(1, 0): 0.5})
         data = classify_state(state, 2).to_json_dict()
+        assert set(data) == {"level", "reports"}
         assert data["level"] == "quantum-consistent"
         assert all("constraint" in r for r in data["reports"])
+
+    def test_commuting_limit_stops_the_walk(self):
+        state = oracle.random_quantum_state(5, np.random.default_rng(0))
+        result = classify_state(state, 2)
+        assert result.level == "p-box"
+        assert [r.constraint for r in result.reports] == ["p-uncertainty", "local-moments"]
+        assert result.reports[0].detail["mode"] == "canonical"
+        assert all(r.passed for r in result.reports)
+        assert result.stopped == (
+            "commuting-moments",
+            f"commuting-set enumeration is limited to n <= {MAX_COMMUTING_SYSTEMS}",
+        )
+        assert result.to_json_dict()["stopped"] == {
+            "constraint": "commuting-moments",
+            "reason": result.stopped[1],
+        }
+
+    def test_local_limit_stops_the_walk(self):
+        result = classify_state(CoefficientState(6, {(1, 0): 0.1}), 2)
+        assert result.level == "p-bin"
+        assert [r.constraint for r in result.reports] == ["p-uncertainty"]
+        assert result.stopped[0] == "local-moments"
 
 
 class TestTwoMeasurement:

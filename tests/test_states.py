@@ -293,6 +293,15 @@ class TestGnstState:
         with pytest.raises(ValidationError):
             GnstState.compact(1, 1.5, (1, -1, 1))
 
+    def test_compact_rejects_non_finite_lambda(self):
+        with pytest.raises(ValidationError, match="not finite"):
+            GnstState.compact(1, float("nan"), (1, 1, 1))
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_table_rejects_non_finite_probabilities(self, check):
+        with pytest.raises(ValidationError, match="not finite"):
+            GnstState.from_table(1, {(1,): (float("nan"), 0.5)}, check=check)
+
     def test_compact_probabilities(self):
         state = GnstState.compact(1, 0.5, (1, -1, 1))
         probs = state.probabilities(FiducialSetting((1,)))
@@ -424,6 +433,14 @@ class TestMomentTable:
     def test_rejects_the_identity_key(self):
         with pytest.raises(ValidationError):
             MomentTable(1, {(0, 0): -1.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, bad):
+        """NaN passes every ``x > bound`` test, so it is refused outright."""
+        with pytest.raises(ValidationError, match="not finite"):
+            MomentTable(1, {(0, 1): bad})
+        with pytest.raises(ValidationError, match="not finite"):
+            CoefficientState(1, {(1, 0): bad})
 
     def test_from_coefficient_state(self):
         """A coefficient state is the lenient table of its coefficients."""
