@@ -18,7 +18,9 @@ one plan per n, the dense-vector index and sign of every subset product
 of every collection, so a state's moments are read once into a vector
 and the collections of each size are transformed in one matrix product.
 The maximal commuting collections are generated as Lagrangian subspaces
-(:func:`maximal_commuting_sets`).
+(:func:`~boxworld.pauli.lagrangian_rows`), and both plans are built from
+collections given as rows of packed exponents, without Pauli string
+objects.
 
 Every report follows one margin convention: a check passes iff its
 margin is at least ``-tol``.  Uncertainty margins are ``1 - worst power
@@ -40,8 +42,9 @@ from .errors import DomainError, ResourceError, validate_exponent
 from .pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
+    _basis_keys,
     gamma_set,
-    hermitian_basis,
+    lagrangian_rows,
     maximal_commuting_sets,
 )
 from .states import (
@@ -374,6 +377,16 @@ def _set_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
         yield ((first,),) + partition
 
 
+def _local_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The collections of :func:`disjoint_support_collections` as rows of
+    packed exponents ``a | b << n``."""
+    by_support: dict[int, list[int]] = {}
+    for k in _basis_keys(n)[1:]:
+        by_support.setdefault((k | k >> n) & (1 << n) - 1, []).append(k)
+    for partition in _set_partitions(tuple(range(n))):
+        yield from itertools.product(*(by_support[sum(1 << i for i in part)] for part in partition))
+
+
 def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
     """Maximal collections of strings with pairwise disjoint supports.
 
@@ -384,32 +397,37 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
     strings keep :func:`hermitian_basis` order: letters X, Z, Y, its
     first position most significant.
     """
-    by_support: dict[int, list[PauliString]] = {}
-    for s in hermitian_basis(n):
-        by_support.setdefault(s.a | s.b, []).append(s)
-    for partition in _set_partitions(tuple(range(n))):
-        parts = (by_support[sum(1 << i for i in part)] for part in partition)
-        yield from itertools.product(*parts)
+    low = (1 << n) - 1
+    for row in _local_rows(n):
+        yield tuple(PauliString.hermitian(n, k & low, k >> n) for k in row)
 
 
-def _group(members: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """Packed keys ``a | b << n`` and signs of the group, up to sign, that
-    pairwise commuting Hermitian basis strings generate.
+def _group(members: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Packed keys ``a | b << n`` and signs of the groups, up to sign,
+    that rows of pairwise commuting Hermitian basis strings generate.
 
-    Every member outside the span so far doubles the list with its
-    products, so bit k of an element's index names the k-th independent
+    Each row's first member outside the span so far doubles its keys
+    with their products, so bit k of an element's index names the k-th
     generator and the moment matrix over the elements is ``mu[i xor j]``.
     Element e times member g has phase phase_e + |a_g & b_g| + 2 |b_e & a_g|;
-    its sign is that phase relative to |a & b| of the product.
+    its sign is that phase relative to |a & b| of the product.  Every
+    row must generate a group of the same size.
     """
-    weight = lambda k: (k & k >> n & (1 << n) - 1).bit_count()
-    keys, phases = [0], [0]
-    for g in members:
-        if g not in keys:
-            w = weight(g)
-            phases += [p + w + 2 * (e >> n & g).bit_count() for e, p in zip(keys, phases)]
-            keys += [e ^ g for e in keys]
-    return keys, [1 - ((p - weight(k)) & 2) for k, p in zip(keys, phases)]
+    ones = np.array([j.bit_count() for j in range(1 << n)])
+    weight = lambda k: ones[k & k >> n & (1 << n) - 1]
+    keys = np.zeros((len(members), 1), dtype=np.int64)
+    phases = np.zeros_like(keys)
+    spanned = np.zeros((len(members), 1 << 2 * n), dtype=bool)
+    spanned[:, 0] = True
+    row = np.arange(len(members))[:, None]
+    while True:
+        outside = ~spanned[row, members]
+        if not outside.any():
+            return keys, 1 - ((phases - weight(keys)) & 2)
+        g = np.take_along_axis(members, outside.argmax(axis=1)[:, None], axis=1)
+        phases = np.hstack([phases, phases + weight(g) + 2 * ones[keys >> n & g]])
+        keys = np.hstack([keys, keys ^ g])
+        spanned[row, keys] = True
 
 
 @dataclass(frozen=True)
@@ -427,34 +445,35 @@ class _Plan:
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _plan(collections: Iterable[Sequence[PauliString]], n: int) -> _Plan:
-    named = tuple(tuple(s.a | s.b << n for s in members) for members in collections)
-    by_size: dict[int, list] = {}
+def _plan(named: Iterable[tuple[int, ...]], n: int) -> _Plan:
+    """The plan of collections given as rows of packed keys; rows of one
+    length generate groups of one size."""
+    named = tuple(named)
+    by_length: dict[int, list[int]] = {}
     for row, members in enumerate(named):
-        keys, signs = _group(members, n)
-        by_size.setdefault(len(keys), []).append((row, keys, signs))
+        by_length.setdefault(len(members), []).append(row)
     groups = []
-    for size, entries in sorted(by_size.items()):
-        rows, idx, signs = zip(*entries)
+    for rows in by_length.values():
+        idx, signs = _group(np.array([named[row] for row in rows], dtype=np.int64), n)
         groups.append(
             (
                 np.array(rows, dtype=np.int32),
-                np.array(idx, dtype=np.int16),  # 4**n <= 1024 entries
-                np.array(signs, dtype=np.int8),
-                _characters(size),
+                idx.astype(np.int16),  # 4**n <= 1024 entries
+                signs.astype(np.int8),
+                _characters(idx.shape[1]),
             )
         )
-    return _Plan(named, tuple(groups))
+    return _Plan(named, tuple(sorted(groups, key=lambda group: group[1].shape[1])))
 
 
 @lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
 def _local_plan(n: int) -> _Plan:
-    return _plan(disjoint_support_collections(n), n)
+    return _plan(_local_rows(n), n)
 
 
 @lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
 def _commuting_plan(n: int) -> _Plan:
-    return _plan(maximal_commuting_sets(n), n)
+    return _plan(lagrangian_rows(n), n)
 
 
 def _positivity_report(

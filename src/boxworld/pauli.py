@@ -37,6 +37,7 @@ __all__ = [
     "hermitian_basis",
     "full_support_strings",
     "maximal_commuting_sets",
+    "lagrangian_rows",
     "digit_masks",
     "letter_digits",
 ]
@@ -324,15 +325,21 @@ def gamma_set(n: int) -> AntiCommutingSet:
     return AntiCommutingSet(tuple(members))
 
 
+def _basis_keys(n: int) -> list[int]:
+    """Packed exponents ``a | b << n`` of the Hermitian basis in
+    :func:`hermitian_basis` order, the identity first."""
+    return [a | b << n for a, b in map(digit_masks, itertools.product(range(4), repeat=n))]
+
+
 def hermitian_basis(n: int, include_identity: bool = False) -> Iterator[PauliString]:
     """All Hermitian basis elements on ``n`` systems, lexicographic by letters.
 
     Ordering follows per-system digits I < X < Z < Y, system 0 most
     significant, which matches the index maps used by the encoders.
     """
-    for digits in itertools.product(range(4), repeat=n):
-        if include_identity or any(digits):
-            yield PauliString.hermitian(n, *digit_masks(digits))
+    low = (1 << n) - 1
+    for k in _basis_keys(n)[0 if include_identity else 1 :]:
+        yield PauliString.hermitian(n, k & low, k >> n)
 
 
 def full_support_strings(n: int) -> tuple[PauliString, ...]:
@@ -341,6 +348,62 @@ def full_support_strings(n: int) -> tuple[PauliString, ...]:
         PauliString.hermitian(n, *digit_masks(digits))
         for digits in itertools.product((1, 2, 3), repeat=n)
     )
+
+
+@lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
+def lagrangian_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The maximal commuting collections as rows of packed exponents
+    ``a | b << n``, in :func:`maximal_commuting_sets` order.
+
+    The search runs on :func:`hermitian_basis` positions, whose bits
+    are b_0 a_0 ... b_(n-1) a_(n-1) from the top: a relabelling of the
+    exponent bits, so spans and commutation carry over, and a sorted
+    span is in basis order.  Each subspace has one greedy basis
+    g_1 < ... < g_n, where g_k is the smallest element outside the span
+    of the earlier ones; equivalently every g_k is larger than g_(k-1),
+    commutes with the earlier ones and has none of their top bits set.
+    A search over exactly those choices reaches each subspace once.
+    Candidates are bitsets over the 4**n positions: ``allowed[g]`` holds
+    those larger than g that commute with it and lack its top bit, so a
+    step is one AND.  The top bits rise along the basis, so a choice
+    with fewer free top bits above it than generators still to pick is
+    never tried.
+
+    Raises:
+        ResourceError: beyond four systems.
+    """
+    if n > MAX_COMMUTING_SYSTEMS:
+        raise ResourceError(
+            f"commuting-set enumeration is limited to n <= {MAX_COMMUTING_SYSTEMS}"
+        )
+    keys = _basis_keys(n)
+    size = len(keys)
+    full = (1 << size) - 1
+    has = [sum(1 << v for v in range(size) if v >> t & 1) for t in range(2 * n)]
+    # v anti-commutes with g iff v holds an odd number of the twins of
+    # g's bits, a_i <-> b_i being bits t <-> t ^ 1; each bit of g toggles.
+    anti = [0] * size
+    for g in range(1, size):
+        anti[g] = anti[g & g - 1] ^ has[((g & -g).bit_length() - 1) ^ 1]
+    allowed = [full & ~(anti[g] | has[g.bit_length() - 1] | (2 << g) - 1) for g in range(size)]
+    rows: list[list[int]] = []
+    stack = [([0], full ^ 1, n)]  # (span so far, candidates, generators to pick)
+    while stack:
+        span, candidates, need = stack.pop()
+        todo = candidates & (1 << (1 << 2 * n - need + 1)) - 1  # top bit <= 2n - need
+        while todo:
+            g = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            grown = span + [s ^ g for s in span]
+            if need == 1:
+                rows.append(sorted(grown)[1:])
+            elif candidates & allowed[g]:
+                stack.append((grown, candidates & allowed[g], need - 1))
+    # Letters sort as text, I < X < Y < Z, so a digit d ranks d ^ d >> 1.
+    odd_digits = sum(1 << 2 * i for i in range(n))
+    rank = [p ^ (p >> 1 & odd_digits) for p in range(size)]
+    rows.sort(key=lambda row: [rank[p] for p in row])
+    return tuple(tuple(map(keys.__getitem__, row)) for row in rows)
 
 
 @lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
@@ -354,47 +417,15 @@ def maximal_commuting_sets(n: int) -> tuple[tuple[PauliString, ...], ...]:
     there are prod over k = 1..n of (2**k + 1) collections (Aaronson and
     Gottesman, quant-ph/0406196).
 
-    The subspaces are generated directly, on packed exponents
-    ``a | b << n``.  Each has one greedy basis g_1 < ... < g_n, where
-    g_k is the smallest element outside the span of the earlier ones;
-    equivalently every g_k is larger than g_(k-1), commutes with the
-    earlier ones and has none of their top bits set.  A depth-first
-    search over exactly those choices reaches each subspace once.
-    Members follow :func:`hermitian_basis` order and the collections
-    are sorted by their letters.
+    The subspaces are enumerated once, as rows of packed exponents
+    (:func:`lagrangian_rows`), and mapped here onto the shared
+    :func:`hermitian_basis` strings.  Members follow
+    :func:`hermitian_basis` order and the collections are sorted by
+    their letters.
 
     Raises:
         ResourceError: beyond four systems.
     """
-    if n > MAX_COMMUTING_SYSTEMS:
-        raise ResourceError(
-            f"commuting-set enumeration is limited to n <= {MAX_COMMUTING_SYSTEMS}"
-        )
-    basis = tuple(hermitian_basis(n, include_identity=True))
-    position = [0] * len(basis)
-    for i, s in enumerate(basis):
-        position[s.a | s.b << n] = i
-    low = (1 << n) - 1
-    spans: list[list[int]] = []
-
-    def search(span: list[int], candidates: list[int], depth: int) -> None:
-        if depth == n:
-            spans.append(span)
-            return
-        for i, g in enumerate(candidates):
-            if len(candidates) - i < n - depth:  # too few left for a basis
-                return
-            twin = g >> n | (g & low) << n  # v commutes with g iff v & twin is even
-            top = 1 << g.bit_length() - 1
-            rest = [
-                v
-                for v in candidates[i + 1 :]
-                if not v & top and not (v & twin).bit_count() & 1
-            ]
-            search(span + [s ^ g for s in span], rest, depth + 1)
-
-    search([0], list(range(1, len(basis))), 0)
-    sets = [sorted(map(position.__getitem__, span))[1:] for span in spans]
-    letters = [s.letters() for s in basis]
-    sets.sort(key=lambda members: [letters[i] for i in members])
-    return tuple(tuple(basis[i] for i in members) for members in sets)
+    rows = lagrangian_rows(n)
+    strings = {s.a | s.b << n: s for s in hermitian_basis(n)}
+    return tuple(tuple(map(strings.__getitem__, row)) for row in rows)

@@ -745,9 +745,14 @@ def _characters(size: int) -> np.ndarray:
     """
     import numpy as np
 
-    signs = np.ones((1, 1))
-    while len(signs) < size:
-        signs = np.block([[signs, signs], [signs, -signs]])
+    signs = np.empty((size, size))
+    signs[0, 0] = 1.0
+    m = 1
+    while m < size:
+        block = signs[:m, :m]
+        signs[:m, m : 2 * m] = signs[m : 2 * m, :m] = block
+        signs[m : 2 * m, m : 2 * m] = -block
+        m *= 2
     return signs
 
 

@@ -445,7 +445,7 @@ class TestImportIsLazy:
         code = (
             "import json, boxworld.cli\n"
             "from boxworld import constraints, pauli\n"
-            "caches = [pauli.maximal_commuting_sets,\n"
+            "caches = [pauli.lagrangian_rows, pauli.maximal_commuting_sets,\n"
             "          constraints._local_plan, constraints._commuting_plan,\n"
             "          constraints._canonical_families]\n"
             "print(json.dumps([c.cache_info()._asdict() for c in caches]))\n"
@@ -460,7 +460,7 @@ class TestImportIsLazy:
             env={**os.environ, "PYTHONPATH": path},
         )
         infos = json.loads(out.stdout)
-        assert len(infos) == 4
+        assert len(infos) == 5
         for info in infos:
             assert info["currsize"] == 0
             assert info["maxsize"] is not None and info["maxsize"] > 0

@@ -412,22 +412,29 @@ class TestBatchedRungs:
                 else:
                     assert report.worst_set == ()
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_packed_groups_match_string_products(self, n):
         for plan, collections in (
             (constraints._local_plan(n), list(disjoint_support_collections(n))),
             (constraints._commuting_plan(n), maximal_commuting_sets(n)),
         ):
             assert plan.named == tuple(tuple(s.a | s.b << n for s in c) for c in collections)
-            for members, packed in zip(collections, plan.named):
-                gens = independent_members(members)
-                elements = [
-                    product_of([g for k, g in enumerate(gens) if i >> k & 1], n=n)
-                    for i in range(1 << len(gens))
-                ]
-                keys, signs = constraints._group(packed, n)
-                assert keys == [e.a | e.b << n for e in elements]
-                assert signs == [e.hermitian_sign() for e in elements]
+            covered, sizes = [], []
+            for rows, idx, signs, characters in plan.groups:
+                assert (rows.dtype, idx.dtype, signs.dtype) == (np.int32, np.int16, np.int8)
+                assert np.array_equal(characters, constraints._characters(idx.shape[1]))
+                covered += rows.tolist()
+                sizes.append(idx.shape[1])
+                for row, keys, row_signs in zip(rows, idx, signs):
+                    gens = independent_members(collections[row])
+                    elements = [
+                        product_of([g for k, g in enumerate(gens) if i >> k & 1], n=n)
+                        for i in range(1 << len(gens))
+                    ]
+                    assert keys.tolist() == [e.a | e.b << n for e in elements]
+                    assert row_signs.tolist() == [e.hermitian_sign() for e in elements]
+            assert sorted(covered) == list(range(len(collections)))
+            assert sizes == sorted(set(sizes))
 
     def test_pr_box_counts(self):
         report = check_local_moments(pr_box_state())

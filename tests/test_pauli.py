@@ -344,3 +344,11 @@ class TestLagrangianEnumeration:
         monkeypatch.setattr(pauli, "hermitian_basis", refuse)
         with pytest.raises(ResourceError):
             pauli.maximal_commuting_sets(5)
+
+    def test_row_gate_raises_before_enumerating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(pauli, "_basis_keys", refuse)
+        with pytest.raises(ResourceError):
+            pauli.lagrangian_rows(5)
