@@ -214,7 +214,11 @@ def chsh(p: float, tol: float, fmt: str) -> None:
 def xor(
     p: float, seed: int, tol: float, s_count: int, t_count: int, game_kind: str, fmt: str
 ) -> None:
-    """Build the optimal strategy for an XOR game and score it."""
+    """Build the ladder strategy for an XOR game and score it.
+
+    It wins every question pair with probability 1/2 + q**(-1/p)/2, q
+    being the larger question count, and with certainty at p = inf.
+    """
     from . import games
 
     if game_kind == "chsh":

@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -402,32 +402,25 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
         yield tuple(PauliString.hermitian(n, k & low, k >> n) for k in row)
 
 
-def _group(members: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _group(generators: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Packed keys ``a | b << n`` and signs of the groups, up to sign,
-    that rows of pairwise commuting Hermitian basis strings generate.
+    that rows of independent, pairwise commuting Hermitian basis strings
+    generate.
 
-    Each row's first member outside the span so far doubles its keys
-    with their products, so bit k of an element's index names the k-th
-    generator and the moment matrix over the elements is ``mu[i xor j]``.
-    Element e times member g has phase phase_e + |a_g & b_g| + 2 |b_e & a_g|;
-    its sign is that phase relative to |a & b| of the product.  Every
-    row must generate a group of the same size.
+    Generator k doubles a row's keys with their products, so bit k of an
+    element's index names the k-th generator and the moment matrix over
+    the elements is ``mu[i xor j]``.  Element e times generator g has
+    phase phase_e + |a_g & b_g| + 2 |b_e & a_g|; its sign is that phase
+    relative to |a & b| of the product.
     """
     ones = np.array([j.bit_count() for j in range(1 << n)])
     weight = lambda k: ones[k & k >> n & (1 << n) - 1]
-    keys = np.zeros((len(members), 1), dtype=np.int64)
+    keys = np.zeros((len(generators), 1), dtype=np.int64)
     phases = np.zeros_like(keys)
-    spanned = np.zeros((len(members), 1 << 2 * n), dtype=bool)
-    spanned[:, 0] = True
-    row = np.arange(len(members))[:, None]
-    while True:
-        outside = ~spanned[row, members]
-        if not outside.any():
-            return keys, 1 - ((phases - weight(keys)) & 2)
-        g = np.take_along_axis(members, outside.argmax(axis=1)[:, None], axis=1)
+    for g in generators.T[:, :, None]:
         phases = np.hstack([phases, phases + weight(g) + 2 * ones[keys >> n & g]])
         keys = np.hstack([keys, keys ^ g])
-        spanned[row, keys] = True
+    return keys, 1 - ((phases - weight(keys)) & 2)
 
 
 @dataclass(frozen=True)
@@ -445,16 +438,18 @@ class _Plan:
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _plan(named: Iterable[tuple[int, ...]], n: int) -> _Plan:
-    """The plan of collections given as rows of packed keys; rows of one
-    length generate groups of one size."""
-    named = tuple(named)
-    by_length: dict[int, list[int]] = {}
-    for row, members in enumerate(named):
-        by_length.setdefault(len(members), []).append(row)
+def _plan(
+    named: tuple[tuple[int, ...], ...], generators: Sequence[Sequence[int]], n: int
+) -> _Plan:
+    """The plan of collections given as rows of packed keys, each with
+    the members that generate it; rows with as many generators generate
+    groups of one size."""
+    by_count: dict[int, list[int]] = {}
+    for row, gens in enumerate(generators):
+        by_count.setdefault(len(gens), []).append(row)
     groups = []
-    for rows in by_length.values():
-        idx, signs = _group(np.array([named[row] for row in rows], dtype=np.int64), n)
+    for rows in by_count.values():
+        idx, signs = _group(np.array([generators[row] for row in rows], dtype=np.int64), n)
         groups.append(
             (
                 np.array(rows, dtype=np.int32),
@@ -468,12 +463,14 @@ def _plan(named: Iterable[tuple[int, ...]], n: int) -> _Plan:
 
 @lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
 def _local_plan(n: int) -> _Plan:
-    return _plan(_local_rows(n), n)
+    rows = tuple(_local_rows(n))  # disjoint supports: every member is a generator
+    return _plan(rows, rows, n)
 
 
 @lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
 def _commuting_plan(n: int) -> _Plan:
-    return _plan(lagrangian_rows(n), n)
+    rows = lagrangian_rows(n)
+    return _plan(rows, [[row[2**k - 1] for k in range(n)] for row in rows], n)
 
 
 def _positivity_report(

@@ -320,15 +320,16 @@ class XorStrategy:
 def build_xor_game_state(
     game: XorGame, p: float
 ) -> tuple[CoefficientState, XorStrategy]:
-    """Optimal shared state and observables for an XOR game.
+    """The ladder construction's shared state and observables for an
+    XOR game.
 
     Each party measures members of the standard anti-commuting ladder on
-    its own systems; one ladder over ceil(q/2) systems covers q
-    questions.  Any correlator assignment bounded by qn**(-1/p) is a
-    valid state because the per-question observables anti-commute
-    within each side, so the signs are chosen to match the winning
-    parities exactly.  At p = infinity the game is then won with
-    certainty.
+    its own systems; one ladder over ceil(q/2) systems covers the larger
+    question count q.  The per-question observables anti-commute within
+    each side, so correlators of +-q**(-1/p) with the signs of the
+    winning parities make a valid state.  It wins every question pair
+    with probability 1/2 + q**(-1/p)/2: with certainty at p = infinity,
+    but at finite p a deterministic classical strategy can do better.
     """
     p = validate_exponent(p)
     largest = max(game.s_count, game.t_count)

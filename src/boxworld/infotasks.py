@@ -41,8 +41,6 @@ __all__ = [
 
 MAX_PROTOCOL_BITS = 12
 
-_TABLE_THEORIES = ("gnst", "p-gnst", "p-box", "p-nonlocal")
-
 
 def _carriers_for(total: int) -> int:
     """Smallest k with 3**k >= total."""
@@ -85,35 +83,29 @@ def ip_oneway_cost(n: int, p: float, theory: str = "p-gnst") -> CommProtocolResu
     counts apply but each retrieval succeeds only with the code's
     recovery probability, noted on the result.
 
-    The two rules count the y = 0 entry differently.  The table rule
-    counts all 2**n entries, the always-zero y = 0 entry included, so
-    it needs 3**carriers >= 2**n.  The p-bin rule leaves that entry
-    out: its code addresses the 4**carriers - 1 non-identity strings,
-    which hold the other 2**n - 1 entries, and the receiver reads
-    y = 0 as 0 because x . 0 is always 0.
+    The carriers and the recovery are those of
+    :func:`~boxworld.rac.rac_params` for the theory, so a theory or
+    exponent it rejects is rejected here too.  The two rules count the
+    y = 0 entry differently.  A table code holds all 2**n entries, the
+    always-zero y = 0 entry included, so it needs 3**carriers >= 2**n.
+    The p-bin code addresses the 4**carriers - 1 non-identity strings,
+    which hold the other 2**n - 1 entries, and the receiver reads y = 0
+    as 0 because x . 0 is always 0.
+
+    Raises:
+        DomainError: for n < 1, a theory :func:`rac_params` does not
+            know, or ``gnst`` at finite p.
     """
     if n < 1:
         raise DomainError("need at least one input bit")
-    p = validate_exponent(p)
     theory = theory.strip().lower()
-    if theory in _TABLE_THEORIES:
-        carriers = _carriers_for(1 << n)
-    elif theory == "p-bin":
-        carriers = (n + 1) // 2
-    else:
-        raise DomainError(f"unknown theory {theory!r}")
-    if p == math.inf:
-        return CommProtocolResult("inner-product", n, theory, carriers, 1.0, True)
-    q = 0.5 + 0.5 * (2 * carriers + 1) ** (-1.0 / p)
-    return CommProtocolResult(
-        "inner-product",
-        n,
-        theory,
-        carriers,
-        q,
-        False,
-        "finite p: per-retrieval success degraded; certainty needs p = inf",
-    )
+    entries = (1 << n) - (theory == "p-bin")
+    carriers = 1
+    while (params := rac_params(theory, carriers, p)).encoded_bits < entries:
+        carriers += 1
+    exact = params.p == math.inf
+    note = "" if exact else "finite p: per-retrieval success degraded; certainty needs p = inf"
+    return CommProtocolResult("inner-product", n, theory, carriers, params.recovery, exact, note)
 
 
 def inner_product(x: Sequence[int], y: Sequence[int]) -> int:

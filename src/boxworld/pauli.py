@@ -363,11 +363,14 @@ def lagrangian_rows(n: int) -> tuple[tuple[int, ...], ...]:
     of the earlier ones; equivalently every g_k is larger than g_(k-1),
     commutes with the earlier ones and has none of their top bits set.
     A search over exactly those choices reaches each subspace once.
-    Candidates are bitsets over the 4**n positions: ``allowed[g]`` holds
-    those larger than g that commute with it and lack its top bit, so a
-    step is one AND.  The top bits rise along the basis, so a choice
-    with fewer free top bits above it than generators still to pick is
-    never tried.
+    A row lists its span in basis order, so its greedy basis is the
+    members at positions 2**k - 1 (0, 1, 3, 7, ...): every element of
+    span(g_1..g_(k-1)) has a lower top bit than g_k, and g_k is the
+    smallest element with its own top bit.  Candidates are bitsets over
+    the 4**n positions: ``allowed[g]`` holds those larger than g that
+    commute with it and lack its top bit, so a step is one AND.  The
+    top bits rise along the basis, so a choice with fewer free top bits
+    above it than generators still to pick is never tried.
 
     Raises:
         ResourceError: beyond four systems.

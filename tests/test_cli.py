@@ -203,6 +203,10 @@ class TestCommCommands:
         assert payload["carriers"] == 7
         assert payload["exact"] is True
 
+    def test_cost_rejects_gnst_at_finite_p(self, runner):
+        result = invoke(runner, "comm", "cost", "--n", "4", "--p", "2", "--theory", "gnst")
+        assert result.exit_code == 2
+
     def test_ip_exact(self, runner):
         result = invoke(runner, "comm", "ip", "--x", "101", "--y", "110", "--p", "inf")
         assert result.exit_code == 0

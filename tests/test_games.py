@@ -202,6 +202,22 @@ class TestXorStrategy:
         _, strategy = build_xor_game_state(game, math.inf)
         assert xor_game_value(game, strategy) == pytest.approx(1.0)
 
+    def test_construction_is_not_optimal_at_finite_p(self):
+        game = XorGame(3, 3, ((1 / 9,) * 3,) * 3, ((0,) * 3,) * 3)
+        _, strategy = build_xor_game_state(game, 2)
+        assert xor_game_value(game, strategy) == pytest.approx(0.5 + 0.5 * 3**-0.5)
+        classical = max(
+            sum(
+                game.pi[s][t]
+                for s in range(3)
+                for t in range(3)
+                if (a >> s ^ b >> t) & 1 == game.wins[s][t]
+            )
+            for a in range(8)
+            for b in range(8)
+        )
+        assert classical == pytest.approx(1.0)
+
     def test_strategy_must_cover_questions(self):
         _, strategy = build_xor_game_state(chsh_game(), 2)
         bigger = random_xor_game(3, 3, seed=0)

@@ -45,6 +45,13 @@ class TestOnewayCost:
         with pytest.raises(DomainError):
             ip_oneway_cost(0, 2)
 
+    @pytest.mark.parametrize("p, theory", [(math.inf, "p-nonlocal"), (2, "gnst")])
+    def test_follows_the_rac_theory_rule(self, p, theory):
+        with pytest.raises(DomainError):
+            rac_params(theory, 1, p)
+        with pytest.raises(DomainError):
+            ip_oneway_cost(4, p, theory)
+
     def test_json_record(self):
         data = ip_oneway_cost(3, math.inf).to_json_dict()
         assert data["task"] == "inner-product"

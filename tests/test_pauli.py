@@ -337,6 +337,15 @@ class TestLagrangianEnumeration:
                     assert commutes(s, t)
                     assert pauli_product(s, t).basis_key() in keys
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_members_at_powers_of_two_generate_the_row(self, n):
+        for row in pauli.lagrangian_rows(n):
+            span = {0}
+            for g in (row[2**k - 1] for k in range(n)):
+                assert g not in span
+                span |= {s ^ g for s in span}
+            assert span - {0} == set(row)
+
     def test_gate_raises_before_enumerating(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration started")
