@@ -22,6 +22,14 @@ The maximal commuting collections are generated as Lagrangian subspaces
 collections given as rows of packed exponents, without Pauli string
 objects.
 
+A state's moment vector is built once per table
+(:meth:`MomentTable.vector` caches it), and the rest of a rung's setup
+is kept per n: the plans, the text of every basis string (for worst
+sets), the anti-commutation table the clique search gathers from, and
+the density rung's phases, characters and gather index.  Each of these
+per-n tables is built on first use and held in an ``lru_cache`` whose
+``maxsize`` is the rung's system limit, so the caches are bounded.
+
 Every report follows one margin convention: a check passes iff its
 margin is at least ``-tol``.  Uncertainty margins are ``1 - worst power
 sum``; positivity margins are smallest eigenvalues.
@@ -170,6 +178,31 @@ def _canonical_families(n: int) -> tuple[tuple[PauliString, ...], ...]:
     return tuple(families)
 
 
+@lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
+def _basis_texts(n: int) -> tuple[str, ...]:
+    """Text of the Hermitian basis string of every packed key ``a | b << n``."""
+    low = (1 << n) - 1
+    return tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in range(1 << 2 * n))
+
+
+@lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
+def _anticommutation(n: int) -> np.ndarray:
+    """Entry (j, k) is True iff the strings with packed keys j and k
+    anti-commute: the parity of |a_j & b_k| + |b_j & a_k|."""
+    keys = np.arange(1 << 2 * n, dtype=np.min_scalar_type((1 << 2 * n) - 1))  # uint8 up to n = 4
+    a, b = keys & (1 << n) - 1, keys >> n
+    odd = (a[:, None] & b) ^ (b[:, None] & a)
+    # Fold the parity of the n bits into bit 0: shifts 2, 1 up to n = 4,
+    # then 4, 2, 1 up to n = 8, and so on.
+    shift = 1 << max(1, (n - 1).bit_length() - 1)
+    while shift:
+        odd ^= odd >> shift
+        shift >>= 1
+    table = (odd & 1).astype(bool)
+    table.flags.writeable = False
+    return table
+
+
 def _heaviest_anticommuting_set(
     n: int, keys: Sequence[int], weight: Sequence[float]
 ) -> tuple[float, list[int], int]:
@@ -188,16 +221,10 @@ def _heaviest_anticommuting_set(
     """
     keys = sorted(keys, key=weight.__getitem__, reverse=True)
     w = [weight[k] for k in keys]
-    packed = np.array(keys, dtype=np.min_scalar_type((1 << 2 * n) - 1))  # uint8 up to n = 4
-    a, b = packed & (1 << n) - 1, packed >> n
-    odd = (a[:, None] & b) ^ (b[:, None] & a)
-    # Fold the parity of the n bits into bit 0: shifts 2, 1 up to n = 4,
-    # then 4, 2, 1 up to n = 8, and so on.
-    shift = 1 << max(1, (n - 1).bit_length() - 1)
-    while shift:
-        odd ^= odd >> shift
-        shift >>= 1
-    rows = np.packbits(odd & 1, axis=1, bitorder="little")
+    packed = np.array(keys, dtype=np.intp)
+    # The np.ix_(packed, packed) block, taken one axis at a time (faster).
+    odd = _anticommutation(n).take(packed, axis=0).take(packed, axis=1)
+    rows = np.packbits(odd, axis=1, bitorder="little")
     data, width = rows.tobytes(), rows.shape[1]
     adj = [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(keys))]
     best, best_mask, examined = 0.0, 0, 0
@@ -277,8 +304,9 @@ def check_p_uncertainty(
     if n <= MAX_COMMUTING_SYSTEMS:
         mode = "exhaustive"
         worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
-        pairs = sorted((k & (1 << n) - 1, k >> n) for k in members)  # table.strings() order
-        worst = tuple(PauliString.hermitian(n, a, b).text() for a, b in pairs)
+        low = (1 << n) - 1
+        members.sort(key=lambda k: (k & low, k >> n))  # table.strings() order
+        worst = tuple(map(_basis_texts(n).__getitem__, members))
     else:
         mode = "canonical"
         families = _canonical_families(n)
@@ -403,23 +431,26 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
 
 
 def _group(generators: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed keys ``a | b << n`` and signs of the groups, up to sign,
-    that rows of independent, pairwise commuting Hermitian basis strings
-    generate.
+    """Packed keys ``a | b << n`` (int16) and signs (int8) of the groups,
+    up to sign, that rows of independent, pairwise commuting Hermitian
+    basis strings generate.
 
-    Generator k doubles a row's keys with their products, so bit k of an
-    element's index names the k-th generator and the moment matrix over
-    the elements is ``mu[i xor j]``.  Element e times generator g has
-    phase phase_e + |a_g & b_g| + 2 |b_e & a_g|; its sign is that phase
-    relative to |a & b| of the product.
+    Generator k fills columns 2**k to 2**(k+1) of a row with the
+    products of its first 2**k elements, so bit k of an element's index
+    names the k-th generator and the moment matrix over the elements is
+    ``mu[i xor j]``.  Element e times generator g has phase
+    phase_e + |a_g & b_g| + 2 |b_e & a_g|, kept mod 4; its sign is that
+    phase relative to |a & b| of the product.
     """
-    ones = np.array([j.bit_count() for j in range(1 << n)])
+    ones = np.array([j.bit_count() for j in range(1 << n)], dtype=np.int8)
     weight = lambda k: ones[k & k >> n & (1 << n) - 1]
-    keys = np.zeros((len(generators), 1), dtype=np.int64)
-    phases = np.zeros_like(keys)
-    for g in generators.T[:, :, None]:
-        phases = np.hstack([phases, phases + weight(g) + 2 * ones[keys >> n & g]])
-        keys = np.hstack([keys, keys ^ g])
+    rows, m = generators.shape
+    keys = np.zeros((rows, 1 << m), dtype=np.int16)  # 4**n <= 1024 entries
+    phases = np.zeros_like(keys, dtype=np.int8)
+    for k in range(m):
+        g, old, new = generators[:, k, None], slice(0, 1 << k), slice(1 << k, 2 << k)
+        phases[:, new] = (phases[:, old] + weight(g) + 2 * ones[keys[:, old] >> n & g]) & 3
+        keys[:, new] = keys[:, old] ^ g
     return keys, 1 - ((phases - weight(keys)) & 2)
 
 
@@ -449,15 +480,8 @@ def _plan(
         by_count.setdefault(len(gens), []).append(row)
     groups = []
     for rows in by_count.values():
-        idx, signs = _group(np.array([generators[row] for row in rows], dtype=np.int64), n)
-        groups.append(
-            (
-                np.array(rows, dtype=np.int32),
-                idx.astype(np.int16),  # 4**n <= 1024 entries
-                signs.astype(np.int8),
-                _characters(idx.shape[1]),
-            )
-        )
+        idx, signs = _group(np.array([generators[row] for row in rows], dtype=np.int16), n)
+        groups.append((np.array(rows, dtype=np.int32), idx, signs, _characters(idx.shape[1])))
     return _Plan(named, tuple(sorted(groups, key=lambda group: group[1].shape[1])))
 
 
@@ -485,20 +509,22 @@ def _positivity_report(
     report's worst set.
     """
     vec = table.vector()
-    smallest = np.full(len(plan.named), np.inf)
-    skipped = 0
+    smallest = np.full(len(plan.named), np.nan)
     for rows, idx, signs, characters in plan.groups:
         mu = signs * vec[idx]
-        known = ~np.isnan(mu).any(axis=1)
-        skipped += len(rows) - int(known.sum())
-        smallest[rows[known]] = (mu[known] @ characters).min(axis=1)
+        if table.strict:  # only a strict table has unknown (NaN) moments
+            known = ~np.isnan(mu).any(axis=1)
+            rows, mu = rows[known], mu[known]
+        smallest[rows] = (mu @ characters).min(axis=1)
+    unknown = np.isnan(smallest)
+    skipped = int(np.count_nonzero(unknown))
+    smallest[unknown] = np.inf
     evaluated = len(plan.named) - skipped
     margin, worst = 1.0, ()
     if evaluated:
-        row = int(np.argmin(smallest))
+        row = int(smallest.argmin())
         margin = float(smallest[row])
-        n, low = table.n, (1 << table.n) - 1
-        worst = tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in plan.named[row])
+        worst = tuple(map(_basis_texts(table.n).__getitem__, plan.named[row]))
     return ValidationReport(
         constraint,
         margin >= -tol,
@@ -563,11 +589,25 @@ def _density_matrix(table: MomentTable) -> np.ndarray:
     moments count as zero.
     """
     dim = 1 << table.n
+    phases, characters, gather = _density_tables(table.n)
+    terms = np.nan_to_num(table.vector()).reshape(dim, dim).T  # rows a, columns b
+    columns = (terms * phases) @ characters
+    return columns[gather] / dim
+
+
+@lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
+def _density_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The phases i**|a & b| (rows a, columns b), the characters of
+    Z_2^n and the index of entry (j xor a, j) that :func:`_density_matrix`
+    reads at n systems."""
+    dim = 1 << n
     idx = np.arange(dim)
     weight = np.array([j.bit_count() for j in range(dim)])[idx[:, None] & idx]
-    terms = np.nan_to_num(table.vector()).reshape(dim, dim).T  # rows a, columns b
-    columns = (terms * np.array([1, 1j, -1, -1j])[weight & 3]) @ _characters(dim)
-    return columns[idx[:, None] ^ idx, idx] / dim
+    phases = np.array([1, 1j, -1, -1j])[weight & 3]
+    characters, rows = _characters(dim), idx[:, None] ^ idx
+    for array in (phases, characters, rows, idx):
+        array.flags.writeable = False
+    return phases, characters, (rows, idx)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, DomainError, ResourceError
+from .games import XorGame
 from .pauli import AntiCommutingSet, PauliString, hermitian_basis, symplectic_form
 from .states import CliffordCircuit, CoefficientState
 
@@ -33,6 +34,7 @@ __all__ = [
     "subset_moment_vector",
     "hadamard_factorization_check",
     "grid_max_chsh",
+    "xor_classical_value",
     "maximal_cliques",
     "maximal_anticommuting_sets",
     "random_quantum_state",
@@ -272,6 +274,28 @@ def grid_max_chsh(points_per_axis: int = 1000) -> float:
     x, y = np.meshgrid(axis, axis)
     feasible = x**2 + y**2 <= 1.0
     return float((2.0 * (x + y))[feasible].max())
+
+
+def xor_classical_value(game: XorGame) -> float:
+    """The best winning probability of a deterministic classical strategy.
+
+    Brute force over the first party's 2**s answer assignments (bit s
+    of ``x`` is its answer to question s), each met by the second
+    party's best response: per question t, the answer that wins more of
+    column t's probability.  Shared randomness only mixes deterministic
+    strategies, so this is the classical value.  The cost grows as
+    2**s, so keep the first party's question count small.
+    """
+    best = 0.0
+    for x in range(1 << game.s_count):
+        total = 0.0
+        for t in range(game.t_count):
+            won = [0.0, 0.0]  # by the second party's answer
+            for s in range(game.s_count):
+                won[(x >> s & 1) ^ game.wins[s][t]] += game.pi[s][t]
+            total += max(won)
+        best = max(best, total)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ class MomentTable:
     infinite value raises :class:`ValidationError`.
     """
 
-    __slots__ = ("_n", "_values", "_strict")
+    __slots__ = ("_n", "_values", "_strict", "_vector")
 
     def __init__(
         self,
@@ -185,6 +185,7 @@ class MomentTable:
         self._n = n
         self._values = dict(values)
         self._strict = strict
+        self._vector = None
 
     @property
     def n(self) -> int:
@@ -220,15 +221,20 @@ class MomentTable:
         """Every moment in one array, indexed by ``a | b << n``.
 
         Entry 0 is the identity's moment, 1.  Absent strings read NaN in
-        a strict table and 0 otherwise.
+        a strict table and 0 otherwise.  The array is built on the first
+        call and cached, so every rung reads the same one; it is
+        read-only, and writing to it raises ``ValueError``.
         """
-        import numpy as np
+        if self._vector is None:
+            import numpy as np
 
-        out = np.full(1 << 2 * self._n, np.nan if self._strict else 0.0)
-        out[0] = 1.0
-        for (a, b), value in self._values.items():
-            out[a | b << self._n] = value
-        return out
+            out = np.full(1 << 2 * self._n, np.nan if self._strict else 0.0)
+            out[0] = 1.0
+            for (a, b), value in self._values.items():
+                out[a | b << self._n] = value
+            out.flags.writeable = False
+            self._vector = out
+        return self._vector
 
     def value_of_collection(self, collection: Sequence[PauliString]) -> float:
         """Moment of the product of a pairwise commuting collection."""

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -531,6 +532,20 @@ class TestCliqueSearch:
             assert abs(total - best) <= 1e-12
             assert sorted(members) == sorted(best_members)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_margin_is_the_python_power_sum_heaviest_first(self, n, rng):
+        """The margin is 1 minus the Python ``abs(m) ** p`` of the worst
+        set's moments, added heaviest first, to the last bit; a numpy
+        power rounds some of them differently."""
+        for state in [*ladder_families(n, rng), *dropped_setting_tables(n, rng)]:
+            table = constraints._moment_table(state)
+            for p in (1.5, 2.0, 3.0):
+                report = check_p_uncertainty(state, p)
+                powers = [
+                    abs(float(table.value(PauliString.from_text(t)))) ** p for t in report.worst_set
+                ]
+                assert report.margin == 1.0 - sum(sorted(powers, reverse=True))
+
     def test_empty_alphabet(self):
         report = check_p_uncertainty(MomentTable(3, {}, strict=True), 2)
         assert (report.margin, report.worst_set) == (1.0, ())
@@ -596,6 +611,61 @@ class TestLadderPaths:
         result = classify_state(pr_box_state(), math.inf)
         assert len(result.reports) == 4
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            pr_box_state(),
+            oracle.random_quantum_state(3, np.random.default_rng(0)),
+            MomentTable(2, {(1, 0): 0.3, (2, 1): -0.2}, strict=True),
+        ],
+        ids=["probability-table", "coefficient-state", "strict-table"],
+    )
+    def test_classify_builds_the_vector_once(self, state, monkeypatch):
+        builds, reads = [], []
+        vector = MomentTable.vector
+
+        def counting(table):
+            if table._vector is None:
+                builds.append(table)
+            reads.append(vector(table))
+            return reads[-1]
+
+        monkeypatch.setattr(MomentTable, "vector", counting)
+        result = classify_state(state, math.inf)
+        assert len(result.reports) == 4
+        assert len(builds) == 1
+        assert len(reads) == 4 and all(read is reads[0] for read in reads)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reports_match_single_rungs(self, n, rng):
+        """Each report of the walk equals its rung run alone on a fresh
+        copy of the state, with no moment vector shared between them."""
+
+        def fresh(state):
+            if isinstance(state, GnstState):
+                return state  # read into a new table by every rung
+            values = {k: state.value(PauliString.hermitian(n, *k)) for k in state.keys()}
+            if isinstance(state, CoefficientState):
+                return CoefficientState(n, values)
+            return MomentTable(n, values, strict=state.strict)
+
+        rungs = (
+            lambda state, p: check_p_uncertainty(fresh(state), p),
+            lambda state, p: check_local_moments(fresh(state)),
+            lambda state, p: check_commuting_moments(fresh(state)),
+            lambda state, p: replace(
+                check_psd(constraints._density_matrix(constraints._moment_table(fresh(state)))),
+                constraint="density-psd",
+            ),
+        )
+        for state in [*ladder_families(n, rng), *dropped_setting_tables(n, rng)]:
+            for p in (1.5, 2.0, 3.0, math.inf):
+                result = classify_state(state, p)
+                assert result.stopped is None
+                alone = [rung(state, p) for rung in rungs[: len(result.reports)]]
+                expected = [r.to_json_dict() for r in alone]
+                assert [r.to_json_dict() for r in result.reports] == expected
 
 
 class TestCoefficientStatesAreMomentTables:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from boxworld import oracle
 from boxworld.constraints import check_p_uncertainty, validate_gnst
 from boxworld.errors import DimensionError, DomainError, ValidationError
 from boxworld.games import (
@@ -217,6 +218,20 @@ class TestXorStrategy:
             for b in range(8)
         )
         assert classical == pytest.approx(1.0)
+
+    def test_classical_value_of_chsh(self):
+        assert oracle.xor_classical_value(chsh_game()) == 0.75
+
+    def test_construction_is_below_classical_at_two(self):
+        """At p = 2 the construction loses to a deterministic strategy on
+        the two-question games with an even parity sum, and on the 3 x 3
+        game whose winning parities are all 0."""
+        even = [g for g in chsh_type_games() if sum(map(sum, g.wins)) % 2 == 0]
+        zeros = XorGame(3, 3, ((1 / 9,) * 3,) * 3, ((0,) * 3,) * 3)
+        assert len(even) == 8
+        for game in [*even, zeros]:
+            _, strategy = build_xor_game_state(game, 2)
+            assert xor_game_value(game, strategy) < oracle.xor_classical_value(game)
 
     def test_strategy_must_cover_questions(self):
         _, strategy = build_xor_game_state(chsh_game(), 2)

@@ -454,6 +454,25 @@ class TestMomentTable:
         for s, coeff in state.terms():
             assert state.value(s) == coeff
 
+    def test_vector_is_cached_and_read_only(self):
+        for table in (
+            MomentTable(2, {(1, 0): 0.5, (2, 3): -0.25}),
+            MomentTable(2, {(1, 0): 0.5}, strict=False),
+        ):
+            vector = table.vector()
+            assert table.vector() is vector
+            assert not vector.flags.writeable
+            with pytest.raises(ValueError):
+                vector[1] = 0.0
+            assert vector[1] == 0.5
+
+    def test_vector_sees_the_coefficients_after_construction(self):
+        """Zeros are dropped after the table is set up, so the vector is
+        built on first use, not during construction."""
+        state = CoefficientState(1, {(1, 0): 0.0, (0, 1): 0.5, (1, 1): -0.0})
+        assert state.keys() == ((0, 1),)
+        assert state.vector().tolist() == [1.0, 0.0, 0.5, 0.0]
+
     @pytest.mark.parametrize(
         "build",
         [
