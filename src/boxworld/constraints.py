@@ -3,7 +3,10 @@
 The checks form a hierarchy.  The p-uncertainty relation bounds the
 power sum of moments over every pairwise anti-commuting set; up to four
 systems a maximum-weight clique search finds the worst one, and beyond
-that a seeded search looks for violations.  Positivity
+that a seeded search looks for violations.  The relation reads only the
+magnitudes |m|, so up to four systems a repeated magnitude profile is
+answered from a bounded cache (256 profiles, under 1 MB), and a report's
+``sets`` counts the sets searched for that profile.  Positivity
 of moment matrices over disjoint-support collections tightens it; the
 same condition over maximal commuting collections tightens it further;
 and positive-semidefiniteness of the density matrix reconstructed from
@@ -93,6 +96,11 @@ __all__ = [
 ]
 
 MAX_LOCAL_SYSTEMS = 5
+
+# Moments per block of a positivity rung.  Its float64 temporaries stay
+# at 128 KiB, which the allocator keeps for reuse; whole-plan ones at
+# n = 4 were returned to the OS and page-faulted back on every call.
+_BLOCK_MOMENTS = 16384
 
 LEVELS = ("invalid", "p-bin", "p-box", "p-nonlocal", "quantum-consistent")
 
@@ -272,6 +280,14 @@ def check_p_uncertainty(
           count as 0.
         * ``max``, at p = infinity: the largest single moment.
 
+    The rung reads only the magnitudes |m|, never the signs.  Up to four
+    systems, a magnitude profile seen before at the same n and p is
+    answered from a bounded cache (256 profiles of at most 2 KB each,
+    under 1 MB in all); the ``canonical`` search is not cached.  Each
+    call builds its own report, so ``passed`` follows ``tol`` and
+    ``detail`` is a fresh dict.  ``sets`` counts the sets the search
+    examined for that profile, also when the answer came from the cache.
+
     Raises:
         DomainError: for p < 1.
     """
@@ -280,8 +296,26 @@ def check_p_uncertainty(
     n = table.n
     # Indexed by packed key a | b << n.  An unknown (NaN) moment adds
     # nothing to a power sum, as a zero one does; entry 0 is the identity.
+    # NaN and -0.0 both become +0.0, so equal profiles have equal bytes.
     moments = np.fmax(np.abs(table.vector()), 0.0)
     moments[0] = 0.0
+    # A canonical-search key would be 8 KB to 2 MB, so only the
+    # exhaustive and max searches (keys of at most 2 KB) are cached.
+    search = _uncertainty_profile
+    if n > MAX_COMMUTING_SYSTEMS:
+        search = search.__wrapped__
+    margin, worst, detail = search(n, p, moments.tobytes())
+    return ValidationReport("p-uncertainty", margin >= -tol, margin, worst, dict(detail))
+
+
+@lru_cache(maxsize=256)
+def _uncertainty_profile(
+    n: int, p: float, profile: bytes
+) -> tuple[float, tuple[str, ...], tuple[tuple[str, object], ...]]:
+    """Margin, worst set and detail items of the uncertainty rung on the
+    moment magnitudes ``profile`` (float64 bytes, indexed by packed key,
+    entry 0 zero) at a normalized exponent ``p``."""
+    moments = np.frombuffer(profile)
     keys = np.flatnonzero(moments).tolist()
 
     if p == math.inf:
@@ -291,16 +325,11 @@ def check_p_uncertainty(
         first = int(np.argmax(by_ab))
         worst_abs = float(by_ab[first])
         worst = (PauliString.hermitian(n, first >> n, first & (1 << n) - 1).text(),)
-        margin = 1.0 - worst_abs
-        return ValidationReport(
-            "p-uncertainty",
-            margin >= -tol,
-            margin,
-            worst if worst_abs else (),
-            {"p": "inf", "mode": "max", "strings": len(keys)},
-        )
+        detail = (("p", "inf"), ("mode", "max"), ("strings", len(keys)))
+        return 1.0 - worst_abs, worst if worst_abs else (), detail
 
-    weight = [m**p for m in moments.tolist()]
+    # Zero moments add nothing, so only the non-zero ones are weighed.
+    weight = dict(zip(keys, [m**p for m in moments[keys].tolist()]))
     if n <= MAX_COMMUTING_SYSTEMS:
         mode = "exhaustive"
         worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
@@ -312,18 +341,12 @@ def check_p_uncertainty(
         families = _canonical_families(n)
         worst_sum, worst, sets = 0.0, (), len(families)
         for family in families:
-            total = sum(weight[s.a | s.b << n] for s in family)
+            total = sum(weight.get(s.a | s.b << n, 0.0) for s in family)
             if total > worst_sum:
                 worst_sum = total
                 worst = tuple(s.canonical().text() for s in family)
-    margin = 1.0 - worst_sum
-    return ValidationReport(
-        "p-uncertainty",
-        margin >= -tol,
-        margin,
-        worst,
-        {"p": p, "mode": mode, "sets": sets, "strings": len(keys)},
-    )
+    detail = (("p", p), ("mode", mode), ("sets", sets), ("strings", len(keys)))
+    return 1.0 - worst_sum, worst, detail
 
 
 def uncertainty_margin(state: StateLike, p: float) -> float:
@@ -511,11 +534,16 @@ def _positivity_report(
     vec = table.vector()
     smallest = np.full(len(plan.named), np.nan)
     for rows, idx, signs, characters in plan.groups:
-        mu = signs * vec[idx]
-        if table.strict:  # only a strict table has unknown (NaN) moments
-            known = ~np.isnan(mu).any(axis=1)
-            rows, mu = rows[known], mu[known]
-        smallest[rows] = (mu @ characters).min(axis=1)
+        step = _BLOCK_MOMENTS // idx.shape[1]
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            block_rows, mu = rows[block], signs[block] * vec[idx[block]]
+            if table.strict:  # only a strict table has unknown (NaN) moments
+                known = ~np.isnan(mu).any(axis=1)
+                block_rows, mu = block_rows[known], mu[known]
+            # The minimum down the columns of the transposed spectra is the
+            # one along their short rows, many times faster.
+            smallest[block_rows] = (mu @ characters).T.copy().min(axis=0)
     unknown = np.isnan(smallest)
     skipped = int(np.count_nonzero(unknown))
     smallest[unknown] = np.inf

@@ -452,7 +452,8 @@ class TestImportIsLazy:
             "caches = [pauli.lagrangian_rows, pauli.maximal_commuting_sets,\n"
             "          constraints._local_plan, constraints._commuting_plan,\n"
             "          constraints._canonical_families, constraints._basis_texts,\n"
-            "          constraints._anticommutation, constraints._density_tables]\n"
+            "          constraints._anticommutation, constraints._density_tables,\n"
+            "          constraints._uncertainty_profile]\n"
             "print(json.dumps([c.cache_info()._asdict() for c in caches]))\n"
         )
         src = str(Path(boxworld.__file__).resolve().parents[1])
@@ -465,7 +466,7 @@ class TestImportIsLazy:
             env={**os.environ, "PYTHONPATH": path},
         )
         infos = json.loads(out.stdout)
-        assert len(infos) == 8
+        assert len(infos) == 9
         for info in infos:
             assert info["currsize"] == 0
             assert info["maxsize"] is not None and info["maxsize"] > 0

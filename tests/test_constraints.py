@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -550,6 +551,77 @@ class TestCliqueSearch:
         report = check_p_uncertainty(MomentTable(3, {}, strict=True), 2)
         assert (report.margin, report.worst_set) == (1.0, ())
         assert report.detail == {"p": 2.0, "mode": "exhaustive", "sets": 0, "strings": 0}
+
+
+def dumped(reports):
+    return [json.dumps(r.to_json_dict()) for r in reports]
+
+
+class TestProfileCache:
+    """The uncertainty rung reads only |m|, so a repeated magnitude
+    profile is answered from a bounded cache."""
+
+    def test_sign_flips_search_once(self, rng, monkeypatch):
+        calls = []
+        search = constraints._heaviest_anticommuting_set
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(constraints, "_heaviest_anticommuting_set", counting)
+        reports = []
+        for _ in range(32):
+            bits = [int(b) for b in rng.integers(0, 2, size=27)]
+            reports.append(check_p_uncertainty(rac_encode_pgnst(bits, 3, 2.0), 2.0))
+        assert len(calls) == 1
+        assert dumped(reports) == dumped(reports[:1]) * 32
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cached_reports_match_fresh_searches(self, n, rng):
+        corpus = [*ladder_families(n, rng), *dropped_setting_tables(n, rng)]
+        cache = constraints._uncertainty_profile
+        for p in (1.5, 2.0, 3.0, math.inf):
+            served = [check_p_uncertainty(state, p) for state in corpus]
+            hits = cache.cache_info().hits
+            again = [check_p_uncertainty(state, p) for state in corpus]
+            assert cache.cache_info().hits == hits + len(corpus)
+            fresh = []
+            for state in corpus:
+                cache.cache_clear()
+                fresh.append(check_p_uncertainty(state, p))
+            assert dumped(served) == dumped(fresh)
+            assert dumped(again) == dumped(fresh)
+
+    def test_tolerance_is_read_per_call(self):
+        # Margin 1 - 2 * 0.8**2 = -0.28.
+        state = MomentTable(1, {(1, 0): 0.8, (0, 1): 0.8}, strict=False)
+        flipped = MomentTable(1, {(1, 0): -0.8, (0, 1): 0.8}, strict=False)
+        assert check_p_uncertainty(state, 2, tol=0.3).passed
+        assert not check_p_uncertainty(flipped, 2, tol=0.2).passed
+        assert not check_p_uncertainty(state, 2, tol=0.2).passed
+        assert check_p_uncertainty(flipped, 2, tol=0.3).passed
+        assert constraints._uncertainty_profile.cache_info().hits == 3
+
+    def test_detail_is_fresh_per_report(self, rng):
+        state = oracle.random_quantum_state(2, rng)
+        first = check_p_uncertainty(state, 2)
+        expected = dict(first.detail)
+        first.detail.clear()
+        assert check_p_uncertainty(state, 2).detail == expected
+
+    def test_integer_exponent_reads_as_float(self, rng):
+        state = oracle.random_quantum_state(3, rng)
+        for order in ((2, 2.0), (2.0, 2)):
+            constraints._uncertainty_profile.cache_clear()
+            reports = [check_p_uncertainty(state, p) for p in order]
+            assert dumped(reports[:1]) == dumped(reports[1:])
+            assert reports[0].detail["p"] == 2.0 and isinstance(reports[0].detail["p"], float)
+
+    def test_canonical_search_is_not_cached(self, rng):
+        state = oracle.random_quantum_state(5, rng)
+        assert check_p_uncertainty(state, 2).detail["mode"] == "canonical"
+        assert constraints._uncertainty_profile.cache_info().currsize == 0
 
 
 class TestLadderPaths:
