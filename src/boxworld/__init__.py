@@ -23,6 +23,7 @@ _EXPORTS = {
         "NoSignalingError",
         "ResourceError",
         "ValidationError",
+        "validate_exponent",
     ),
     "pauli": (
         "PauliString",
@@ -30,6 +31,7 @@ _EXPORTS = {
         "gamma_set",
         "hermitian_basis",
         "full_support_strings",
+        "maximal_commuting_sets",
         "pauli_product",
         "symplectic_form",
     ),
@@ -52,13 +54,10 @@ _EXPORTS = {
         "check_p_uncertainty",
         "check_psd",
         "classify_state",
-        "maximal_commuting_sets",
         "moment_matrix",
         "two_measurement_eigenvalues",
         "two_measurement_moment_matrix",
         "two_measurement_sylvester",
-        "uncertainty_margin",
-        "validate_exponent",
         "validate_gnst",
     ),
     "games": (

@@ -14,17 +14,15 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import click
 
 from . import rac as rac_mod, states
-from .errors import BoxworldError, DomainError, validate_exponent
+from .errors import BoxworldError, DomainError, ResourceError, validate_exponent
 
 __all__ = [
-    "ExperimentConfig",
     "main",
     "run_named",
     "run_summary_table",
@@ -365,6 +363,8 @@ def rac_boost_cmd(n: int, p: float, seed: int, trials: int, index: int, fmt: str
     """Monte Carlo failure rate of the majority-boosted code."""
     copies, bound = rac_mod.rac_repetition_params(n, p)
     encoded_bits = rac_mod.rac_params("p-gnst", n, p).encoded_bits
+    if n > rac_mod.MAX_BOOST_SYSTEMS:
+        raise ResourceError(f"boosted decoding is limited to n <= {rac_mod.MAX_BOOST_SYSTEMS}")
     draw = random.Random(seed)
     bits = [draw.randrange(2) for _ in range(encoded_bits)]
     success = rac_mod.rac_repetition_decode(bits, n, p, index, trials=trials, seed=seed)
@@ -656,34 +656,9 @@ def psphere(p_list: str, samples: int) -> None:
 # -- programmatic dispatch ---------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    """One named run: a command plus the standard flag set."""
-
-    command: str
-    p: float | str | None = None
-    n: int | None = None
-    seed: int | None = None
-    trials: int | None = None
-    tol: float | None = None
-    format: str | None = None
-    file: str | None = None
-    claim: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_mapping(self) -> dict:
-        out: dict = {"command": self.command}
-        for key in ("p", "n", "seed", "trials", "tol", "format", "file", "claim"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out.update(self.extra)
-        return out
-
-
-def run_named(config: ExperimentConfig | Mapping) -> int:
+def run_named(config: Mapping) -> int:
     """Dispatch a config dict through the CLI; returns the exit code."""
-    mapping = config.to_mapping() if isinstance(config, ExperimentConfig) else dict(config)
+    mapping = dict(config)
     command = str(mapping.pop("command", "") or "")
     if not command:
         click.echo("usage error: no command given", err=True)

@@ -3,10 +3,10 @@
 The checks form a hierarchy.  The p-uncertainty relation bounds the
 power sum of moments over every pairwise anti-commuting set; up to four
 systems a maximum-weight clique search finds the worst one, and beyond
-that a seeded search looks for violations.  The relation reads only the
-magnitudes |m|, so up to four systems a repeated magnitude profile is
-answered from a bounded cache (256 profiles, under 1 MB), and a report's
-``sets`` counts the sets searched for that profile.  Positivity
+that a seeded search of the stored moments looks for violations.  The
+relation reads only the magnitudes |m|, so up to four systems a repeated
+magnitude profile is answered from a bounded cache (256 profiles, under
+1 MB), and a report's ``sets`` counts the sets searched for it.  Positivity
 of moment matrices over disjoint-support collections tightens it; the
 same condition over maximal commuting collections tightens it further;
 and positive-semidefiniteness of the density matrix reconstructed from
@@ -79,8 +79,6 @@ __all__ = [
     "LEVELS",
     "validate_exponent",
     "check_p_uncertainty",
-    "uncertainty_margin",
-    "collection_moment_vector",
     "moment_matrix",
     "check_psd",
     "disjoint_support_collections",
@@ -283,8 +281,9 @@ def check_p_uncertainty(
     The rung reads only the magnitudes |m|, never the signs.  Up to four
     systems, a magnitude profile seen before at the same n and p is
     answered from a bounded cache (256 profiles of at most 2 KB each,
-    under 1 MB in all); the ``canonical`` search is not cached.  Each
-    call builds its own report, so ``passed`` follows ``tol`` and
+    under 1 MB in all).  Above four systems it reads only the stored
+    non-zero moments, never the 4**n moment vector, and caches nothing.
+    Each call builds its own report, so ``passed`` follows ``tol`` and
     ``detail`` is a fresh dict.  ``sets`` counts the sets the search
     examined for that profile, also when the answer came from the cache.
 
@@ -294,17 +293,15 @@ def check_p_uncertainty(
     p = validate_exponent(p)
     table = _moment_table(state)
     n = table.n
-    # Indexed by packed key a | b << n.  An unknown (NaN) moment adds
-    # nothing to a power sum, as a zero one does; entry 0 is the identity.
-    # NaN and -0.0 both become +0.0, so equal profiles have equal bytes.
-    moments = np.fmax(np.abs(table.vector()), 0.0)
-    moments[0] = 0.0
-    # A canonical-search key would be 8 KB to 2 MB, so only the
-    # exhaustive and max searches (keys of at most 2 KB) are cached.
-    search = _uncertainty_profile
     if n > MAX_COMMUTING_SYSTEMS:
-        search = search.__wrapped__
-    margin, worst, detail = search(n, p, moments.tobytes())
+        margin, worst, detail = _stored_uncertainty(table, p)
+    else:
+        # Indexed by packed key a | b << n, entry 0 the identity.  An unknown
+        # (NaN) moment adds nothing to a power sum, as a zero one does; NaN
+        # and -0.0 both become +0.0, so equal profiles have equal bytes.
+        moments = np.fmax(np.abs(table.vector()), 0.0)
+        moments[0] = 0.0
+        margin, worst, detail = _uncertainty_profile(n, p, moments.tobytes())
     return ValidationReport("p-uncertainty", margin >= -tol, margin, worst, dict(detail))
 
 
@@ -314,7 +311,7 @@ def _uncertainty_profile(
 ) -> tuple[float, tuple[str, ...], tuple[tuple[str, object], ...]]:
     """Margin, worst set and detail items of the uncertainty rung on the
     moment magnitudes ``profile`` (float64 bytes, indexed by packed key,
-    entry 0 zero) at a normalized exponent ``p``."""
+    entry 0 zero) at a normalized exponent ``p``, up to four systems."""
     moments = np.frombuffer(profile)
     keys = np.flatnonzero(moments).tolist()
 
@@ -330,48 +327,40 @@ def _uncertainty_profile(
 
     # Zero moments add nothing, so only the non-zero ones are weighed.
     weight = dict(zip(keys, [m**p for m in moments[keys].tolist()]))
-    if n <= MAX_COMMUTING_SYSTEMS:
-        mode = "exhaustive"
-        worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
-        low = (1 << n) - 1
-        members.sort(key=lambda k: (k & low, k >> n))  # table.strings() order
-        worst = tuple(map(_basis_texts(n).__getitem__, members))
-    else:
-        mode = "canonical"
-        families = _canonical_families(n)
-        worst_sum, worst, sets = 0.0, (), len(families)
-        for family in families:
-            total = sum(weight.get(s.a | s.b << n, 0.0) for s in family)
-            if total > worst_sum:
-                worst_sum = total
-                worst = tuple(s.canonical().text() for s in family)
-    detail = (("p", p), ("mode", mode), ("sets", sets), ("strings", len(keys)))
+    worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
+    low = (1 << n) - 1
+    members.sort(key=lambda k: (k & low, k >> n))  # table.strings() order
+    worst = tuple(map(_basis_texts(n).__getitem__, members))
+    detail = (("p", p), ("mode", "exhaustive"), ("sets", sets), ("strings", len(keys)))
     return 1.0 - worst_sum, worst, detail
 
 
-def uncertainty_margin(state: StateLike, p: float) -> float:
-    """Convenience wrapper: the margin of :func:`check_p_uncertainty`."""
-    return check_p_uncertainty(state, p).margin
+def _stored_uncertainty(table: MomentTable, p: float) -> tuple[float, tuple[str, ...], tuple]:
+    """The uncertainty rung above four systems, read from the stored
+    non-zero moments alone: the 4**n moment vector grows fourfold per
+    system, while the canonical families hold at most 65 (2n + 1) strings."""
+    n = table.n
+    # In table.strings() order; an absent or zero moment adds nothing.
+    size = {key: abs(float(m)) for key, m in sorted(table._values.items()) if m}
+    if p == math.inf:
+        key, worst_abs = max(size.items(), key=lambda item: item[1], default=(None, 0.0))
+        worst = (PauliString.hermitian(n, *key).text(),) if worst_abs else ()
+        return 1.0 - worst_abs, worst, (("p", "inf"), ("mode", "max"), ("strings", len(size)))
+    weight = {a | b << n: m**p for (a, b), m in size.items()}
+    families = _canonical_families(n)
+    worst_sum, worst = 0.0, ()
+    for family in families:
+        total = sum(weight.get(s.a | s.b << n, 0.0) for s in family)
+        if total > worst_sum:
+            worst_sum = total
+            worst = tuple(s.canonical().text() for s in family)
+    detail = (("p", p), ("mode", "canonical"), ("sets", len(families)), ("strings", len(size)))
+    return 1.0 - worst_sum, worst, detail
 
 
 # ---------------------------------------------------------------------------
 # moment matrices of commuting collections
 # ---------------------------------------------------------------------------
-
-
-def collection_moment_vector(
-    collection: Sequence[PauliString], state: StateLike
-) -> np.ndarray:
-    """Subset moments of a pairwise commuting collection.
-
-    Raises:
-        IncompleteMomentError: if the state does not determine a needed
-            moment.
-    """
-    table = _moment_table(state)
-    if collection and collection[0].n != table.n:
-        raise DomainError("collection and state system counts differ")
-    return np.array([table.value(s) for s in _collection_products(collection)])
 
 
 def moment_matrix(
@@ -386,8 +375,15 @@ def moment_matrix(
     exactly the subset indexed by i xor j.  With ``scaled=True`` the
     matrix is divided by its dimension, making it equal to
     B diag(outcome probabilities) B^T for the sign matrix B.
+
+    Raises:
+        DomainError: if the collection and state system counts differ.
+        IncompleteMomentError: if the state does not determine a needed moment.
     """
-    mu = collection_moment_vector(collection, state)
+    table = _moment_table(state)
+    if collection and collection[0].n != table.n:
+        raise DomainError("collection and state system counts differ")
+    mu = np.array([table.value(s) for s in _collection_products(collection)])
     size = mu.shape[0]
     idx = np.arange(size)
     k = mu[np.bitwise_xor(idx[:, None], idx[None, :])]

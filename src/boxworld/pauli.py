@@ -331,14 +331,15 @@ def _basis_keys(n: int) -> list[int]:
     return [a | b << n for a, b in map(digit_masks, itertools.product(range(4), repeat=n))]
 
 
-def hermitian_basis(n: int, include_identity: bool = False) -> Iterator[PauliString]:
-    """All Hermitian basis elements on ``n`` systems, lexicographic by letters.
+def hermitian_basis(n: int) -> Iterator[PauliString]:
+    """The 4**n - 1 Hermitian basis elements on ``n`` systems other than
+    the identity (``PauliString.identity(n)``), lexicographic by letters.
 
     Ordering follows per-system digits I < X < Z < Y, system 0 most
     significant, which matches the index maps used by the encoders.
     """
     low = (1 << n) - 1
-    for k in _basis_keys(n)[0 if include_identity else 1 :]:
+    for k in _basis_keys(n)[1:]:
         yield PauliString.hermitian(n, k & low, k >> n)
 
 

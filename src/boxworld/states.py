@@ -12,11 +12,14 @@ object for theories defined operationally rather than operator-wise.
 
 Moment bookkeeping (:class:`MomentTable`) bridges the two: moments of
 commuting measurement collections are indexed by the exact product
-string.  ``s_k`` is the moment of ``sigma_k``, so a coefficient state
-is the lenient moment table of its coefficients.  The linear transform
+string, so a collection's moment is ``value(product_of(collection))``.
+``s_k`` is the moment of ``sigma_k``, so a coefficient state is the
+lenient moment table of its coefficients.  The linear transform
 between a collection's outcome distribution and its subset moments is
 invertible, which the ``moments_from_probabilities`` /
-``probabilities_from_moments`` pair implements.
+``probabilities_from_moments`` pair implements; the first reads a
+:class:`GnstState`, and a raw probability table enters through
+``GnstState.from_table``.
 """
 
 from __future__ import annotations
@@ -236,15 +239,6 @@ class MomentTable:
             self._vector = out
         return self._vector
 
-    def value_of_collection(self, collection: Sequence[PauliString]) -> float:
-        """Moment of the product of a pairwise commuting collection."""
-        for s, t in itertools.combinations(collection, 2):
-            if not commutes(s, t):
-                raise DomainError(
-                    f"{s.text()} and {t.text()} do not commute"
-                )
-        return self.value(product_of(collection, n=self._n))
-
 
 class CoefficientState(MomentTable):
     """A state given by real coefficients on Hermitian basis strings.
@@ -441,7 +435,7 @@ class GnstState:
     construction.  The table form stores explicit probability vectors
     for any subset of the 3**n settings and is validated on
     construction unless ``check=False`` (reserved for adversarial test
-    fixtures, for the report-style validator and for
+    fixtures, for the report-style validator and for tables handed to
     :func:`moments_from_probabilities`, which checks normalization and
     overlaps itself).  A non-finite ``lam`` or probability, and a
     vector of the wrong length, raise :class:`ValidationError` always.
@@ -789,28 +783,20 @@ def _collection_products(collection: Sequence[PauliString]) -> list[PauliString]
     return out
 
 
-def moments_from_probabilities(
-    state: GnstState | Mapping[Sequence[int], Sequence[float]],
-    tol: float = DEFAULT_TOL,
-) -> MomentTable:
+def moments_from_probabilities(state: GnstState, tol: float = DEFAULT_TOL) -> MomentTable:
     """Moments of every stored setting and every subset of its systems.
 
     Each setting's outcome distribution is transformed once by
     :func:`_characters`; a subset's moment is one column of the result.
     Subset moments reachable from several settings are checked for
     consistency, which is the independence condition on overlapping
-    collections.  Compact states are consistent by construction.
+    collections.  Compact states are consistent by construction.  A raw
+    table enters as ``GnstState.from_table(n, table, check=False)``, since
+    this function checks normalization and overlaps itself.
 
     Raises:
-        ValidationError: on an empty mapping, unnormalized input or
-            inconsistent subsets.
+        ValidationError: on unnormalized input or inconsistent subsets.
     """
-    if not isinstance(state, GnstState):
-        if not state:
-            raise ValidationError("a table state needs at least one setting")
-        state = GnstState.from_table(
-            len(next(iter(state))), state, check=False
-        )
     n = state.n
     if state.is_compact:
         keys = (digit_masks(setting.labels) for setting in all_settings(n))

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 import boxworld
 from boxworld import oracle, rac as rac_mod
-from boxworld.cli import ExperimentConfig, main, run_named, run_psphere, run_summary_table
+from boxworld.cli import main, run_named, run_psphere, run_summary_table
 from boxworld.constraints import classify_state
 from boxworld.errors import DomainError
 from boxworld.games import chsh_win_probability
@@ -141,6 +141,13 @@ class TestRacCommands:
         assert payload["copies"] == 27
         assert payload["within_bound"] is True
         assert payload["empirical_failure"] <= payload["failure_bound"]
+
+    def test_boost_refuses_sizes_it_cannot_draw(self, runner, monkeypatch):
+        # Without the limit, drawing the 3**40-bit codeword fails at once.
+        monkeypatch.setattr("boxworld.cli.random", None)
+        result = invoke(runner, "rac", "boost", "--n", "40", "--p", "2")
+        assert result.exit_code == 2
+        assert "limited to n <= 12" in result.stderr
 
     @pytest.mark.parametrize(
         "theory, bits",
@@ -386,7 +393,7 @@ class TestRunNamed:
         assert run_named({"command": "chsh", "p": 2}) == 0
 
     def test_config_dispatch(self):
-        config = ExperimentConfig(command="oracle verify", claim="chsh", extra={"cases": 10})
+        config = {"command": "oracle verify", "claim": "chsh", "cases": 10}
         assert run_named(config) == 0
 
     def test_infinity_value(self):

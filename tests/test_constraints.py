@@ -16,14 +16,12 @@ from boxworld.constraints import (
     check_p_uncertainty,
     check_psd,
     classify_state,
-    collection_moment_vector,
     disjoint_support_collections,
     maximal_commuting_sets,
     moment_matrix,
     two_measurement_eigenvalues,
     two_measurement_moment_matrix,
     two_measurement_sylvester,
-    uncertainty_margin,
     validate_exponent,
     validate_gnst,
 )
@@ -132,11 +130,6 @@ class TestUncertainty:
         assert result.reports[0].margin == pytest.approx(-0.2003, abs=1e-4)
         assert canonical_margin(table, 1.5) == pytest.approx(0.3426, abs=1e-4)
 
-    def test_margin_wrapper(self):
-        state = CoefficientState(1, {(1, 0): 0.5})
-        report = check_p_uncertainty(state, 3)
-        assert uncertainty_margin(state, 3) == report.margin
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_search_is_a_proof_up_to_four_systems(self, n, rng):
         for state in ladder_families(n, rng):
@@ -195,7 +188,7 @@ class TestMomentMatrix:
     def test_empty_collection_rejected(self):
         state = CoefficientState(1, {(1, 0): 0.5})
         with pytest.raises(DomainError):
-            collection_moment_vector([], state)
+            moment_matrix([], state)
 
     def test_size_gate(self):
         n = MAX_COLLECTION_SIZE + 1
@@ -208,7 +201,7 @@ class TestMomentMatrix:
         table = MomentTable(2, {(1, 0): 0.5, (2, 0): 0.5})
         collection = [PauliString.from_text("XI"), PauliString.from_text("IX")]
         with pytest.raises(IncompleteMomentError):
-            collection_moment_vector(collection, table)
+            moment_matrix(collection, table)
 
 
 class TestPsd:
@@ -622,6 +615,49 @@ class TestProfileCache:
         state = oracle.random_quantum_state(5, rng)
         assert check_p_uncertainty(state, 2).detail["mode"] == "canonical"
         assert constraints._uncertainty_profile.cache_info().currsize == 0
+
+
+def tied_table(n):
+    """Two largest moments of equal size, the later one in table.strings()
+    order stored first."""
+    top = (1 << n) - 1
+    return CoefficientState(n, {(3, 1): -0.4, (top, 0): 0.3, (1, 2): 0.4, (0, 5): 0.1, (0, top): -0.2})
+
+
+class TestStoredMoments:
+    """Above four systems the uncertainty rung reads only the stored
+    moments, never the 4**n moment vector."""
+
+    @pytest.mark.parametrize(
+        "n,p,margin,worst,sets,strings",
+        [
+            (5, 2.0, 0.5454545454545454, "ZIIXI XIIII YZIXX YXIXI YYXXX YYZXX YYYIX ZYYYX "
+             "ZYYZI ZZYZY ZZYZZ", 46, 243),
+            (6, 2.0, 0.6153846153846154, "ZIIIII XIIIZI YXIIZI YZIIZZ YYXIZZ YYZIZZ YYYXZZ "
+             "YYYZZZ XYYYYZ YYYYIZ XZYYXY XYYYXI XZYYXX", 48, 729),
+            (5, math.inf, 0.6, "XZIII", None, 5),
+            (6, math.inf, 0.6, "XZIIII", None, 5),
+        ],
+        ids=["n5-p2", "n6-p2", "n5-inf", "n6-inf"],
+    )
+    def test_reports_without_the_vector(self, n, p, margin, worst, sets, strings, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the rung read the moment vector")
+
+        monkeypatch.setattr(MomentTable, "vector", refuse)
+        if p == 2.0:
+            state = rac_encode_pgnst([j % 3 % 2 for j in range(3**n)], n, p)
+            detail = {"p": p, "mode": "canonical", "sets": sets, "strings": strings}
+        else:
+            state = tied_table(n)
+            detail = {"p": "inf", "mode": "max", "strings": strings}
+        assert check_p_uncertainty(state, p).to_json_dict() == {
+            "constraint": "p-uncertainty",
+            "passed": True,
+            "margin": margin,
+            "worst_set": ["+1 " + text for text in worst.split()],
+            "detail": detail,
+        }
 
 
 class TestLadderPaths:

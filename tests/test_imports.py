@@ -154,3 +154,30 @@ def test_every_public_name_resolves():
     assert {name: namespace[name] for name in boxworld.__all__} == {
         name: getattr(boxworld, name) for name in boxworld.__all__
     }
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [(module, name) for module, names in boxworld._EXPORTS.items() for name in names if name != module],
+)
+def test_export_map_names_the_defining_module(module, name):
+    # A name listed under a module that only re-exports it loads that
+    # module's dependencies on first access.
+    assert getattr(boxworld, name).__module__ == f"boxworld.{module}"
+
+
+def test_numpy_free_exports_load_no_numpy():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, boxworld\n"
+        "boxworld.validate_exponent, boxworld.maximal_commuting_sets\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.split() == ["False"]

@@ -258,11 +258,6 @@ class TestBases:
         letters = [s.letters() for s in hermitian_basis(2)]
         assert letters[:5] == ["IX", "IZ", "IY", "XI", "XX"]
 
-    def test_hermitian_basis_identity_flag(self):
-        basis = list(hermitian_basis(1, include_identity=True))
-        assert basis[0].is_identity
-        assert len(basis) == 4
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_full_support_strings(self, n):
         full = full_support_strings(n)

@@ -6,7 +6,7 @@ import pytest
 
 from boxworld import oracle
 from boxworld.constraints import check_p_uncertainty
-from boxworld.errors import DimensionError, DomainError, ValidationError
+from boxworld.errors import DimensionError, DomainError, ResourceError, ValidationError
 from boxworld.pauli import full_support_strings, hermitian_basis
 from boxworld.rac import (
     IndexMap,
@@ -331,6 +331,11 @@ class TestRepetition:
     def test_trial_validation(self):
         with pytest.raises(DomainError):
             rac_repetition_decode([0, 1, 0], 1, 1, 1, trials=0)
+
+    def test_size_limit_precedes_encoding(self):
+        # No codeword is needed to refuse: the limit is checked first.
+        with pytest.raises(ResourceError, match="limited to n <= 12"):
+            rac_repetition_decode([], 13, 2, 1)
 
 
 class TestLearningParams:

@@ -417,13 +417,6 @@ class TestMomentTable:
         assert table.value(ident) == 1.0
         assert table.value(-ident) == -1.0
 
-    def test_value_of_collection_requires_commuting(self):
-        table = MomentTable(1, {}, strict=False)
-        x = PauliString.single(1, 0, "X")
-        z = PauliString.single(1, 0, "Z")
-        with pytest.raises(DomainError):
-            table.value_of_collection([x, z])
-
     def test_rejects_keys_beyond_the_system_count(self):
         with pytest.raises(DimensionError):
             MomentTable(2, {(4, 0): 0.9})
@@ -688,12 +681,14 @@ class TestMomentTransform:
 
     def test_unnormalized_table_rejected(self):
         with pytest.raises(ValidationError) as caught:
-            moments_from_probabilities({(1, 1): (0.5, 0.0, 0.0, 0.6)})
+            moments_from_probabilities(
+                GnstState.from_table(2, {(1, 1): (0.5, 0.0, 0.0, 0.6)}, check=False)
+            )
         assert str(caught.value) == "probabilities for (1, 1) sum to 1.1"
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValidationError, match="needs at least one setting"):
-            moments_from_probabilities({})
+            moments_from_probabilities(GnstState.from_table(1, {}, check=False))
 
 
 class TestFullSupportConsistency:
