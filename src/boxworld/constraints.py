@@ -1,10 +1,11 @@
 """Validity checkers: uncertainty relations and moment-matrix positivity.
 
 The checks form a hierarchy.  The p-uncertainty relation bounds the
-power sum of moments over every pairwise anti-commuting set; up to four
-systems a maximum-weight clique search finds the worst one, and beyond
-that a seeded search of the stored moments looks for violations.  The
-relation reads only the magnitudes |m|, so up to four systems a repeated
+power sum of moments over every pairwise anti-commuting set.  One body
+checks it at every n, from the non-zero magnitudes |m| keyed by packed
+exponents: up to four systems a maximum-weight clique search finds the
+worst set, and beyond that a seeded search over canonical families of
+packed keys looks for violations.  Up to four systems a repeated
 magnitude profile is answered from a bounded cache (256 profiles, under
 1 MB), and a report's ``sets`` counts the sets searched for it.  Positivity
 of moment matrices over disjoint-support collections tightens it; the
@@ -159,14 +160,15 @@ def _moment_table(state: StateLike) -> MomentTable:
 
 
 @lru_cache(maxsize=16)
-def _canonical_families(n: int) -> tuple[tuple[PauliString, ...], ...]:
+def _canonical_families(n: int) -> tuple[tuple[int, ...], ...]:
     """The ladder set and its distinct images under 64 random Clifford
-    circuits of eight gates each (seed 0), in circuit order."""
+    circuits of eight gates each (seed 0), in circuit order, as rows of
+    packed keys ``a | b << n``."""
     rng = random.Random(0)
     names = ["H", "X", "Y", "Z"] + (["CNOT"] if n > 1 else [])
     ladder = tuple(gamma_set(n))
-    families = [ladder]
-    seen = {frozenset(g.basis_key() for g in ladder)}
+    families = [tuple(g.a | g.b << n for g in ladder)]
+    seen = {frozenset(families[0])}
     for _ in range(64):
         gates = []
         for _ in range(8):
@@ -176,10 +178,9 @@ def _canonical_families(n: int) -> tuple[tuple[PauliString, ...], ...]:
             else:
                 gates.append((name, (rng.randrange(n),)))
         circuit = CliffordCircuit(n, tuple(gates))
-        image = tuple(conjugate_pauli(circuit, g).canonical() for g in ladder)
-        key = frozenset(g.basis_key() for g in image)
-        if key not in seen:
-            seen.add(key)
+        image = tuple(s.a | s.b << n for s in (conjugate_pauli(circuit, g) for g in ladder))
+        if frozenset(image) not in seen:
+            seen.add(frozenset(image))
             families.append(image)
     return tuple(families)
 
@@ -263,9 +264,11 @@ def check_p_uncertainty(
 
     Over every pairwise anti-commuting set of Hermitian strings the
     moments must satisfy sum |m|**p <= 1; at p = infinity the relation
-    degenerates to |m| <= 1 for every single string.  The system count
-    picks the search, and the report's ``mode`` names it:
+    degenerates to |m| <= 1 for every single string.  The exponent and
+    the system count pick the search, and the report's ``mode`` names it:
 
+        * ``max``, at p = infinity: the largest single moment, the first
+          in table.strings() order among equals.
         * ``exhaustive``, up to four systems: the heaviest pairwise
           anti-commuting subset of the strings with known non-zero
           moments, by a maximum-weight clique search.  A proof, since
@@ -276,13 +279,13 @@ def check_p_uncertainty(
           plus its images under 64 seeded random Clifford circuits.  A
           violation search, not a proof of validity; unknown moments
           count as 0.
-        * ``max``, at p = infinity: the largest single moment.
 
-    The rung reads only the magnitudes |m|, never the signs.  Up to four
-    systems, a magnitude profile seen before at the same n and p is
+    The rung reads only the magnitudes |m| of the non-zero moments,
+    never the signs.  Up to four systems they come from the moment
+    vector, and a magnitude profile seen before at the same n and p is
     answered from a bounded cache (256 profiles of at most 2 KB each,
-    under 1 MB in all).  Above four systems it reads only the stored
-    non-zero moments, never the 4**n moment vector, and caches nothing.
+    under 1 MB in all).  Above four systems they come from the stored
+    moments alone, never the 4**n moment vector, and nothing is cached.
     Each call builds its own report, so ``passed`` follows ``tol`` and
     ``detail`` is a fresh dict.  ``sets`` counts the sets the search
     examined for that profile, also when the answer came from the cache.
@@ -294,7 +297,9 @@ def check_p_uncertainty(
     table = _moment_table(state)
     n = table.n
     if n > MAX_COMMUTING_SYSTEMS:
-        margin, worst, detail = _stored_uncertainty(table, p)
+        # The stored moments alone: the 4**n vector grows fourfold per system.
+        size = {a | b << n: abs(float(m)) for (a, b), m in table._values.items() if m}
+        margin, worst, detail = _uncertainty(n, p, size)
     else:
         # Indexed by packed key a | b << n, entry 0 the identity.  An unknown
         # (NaN) moment adds nothing to a power sum, as a zero one does; NaN
@@ -305,57 +310,50 @@ def check_p_uncertainty(
     return ValidationReport("p-uncertainty", margin >= -tol, margin, worst, dict(detail))
 
 
+# Margin, worst set and detail items of the uncertainty rung.
+_Uncertainty = tuple[float, tuple[str, ...], tuple[tuple[str, object], ...]]
+
+
 @lru_cache(maxsize=256)
-def _uncertainty_profile(
-    n: int, p: float, profile: bytes
-) -> tuple[float, tuple[str, ...], tuple[tuple[str, object], ...]]:
-    """Margin, worst set and detail items of the uncertainty rung on the
-    moment magnitudes ``profile`` (float64 bytes, indexed by packed key,
-    entry 0 zero) at a normalized exponent ``p``, up to four systems."""
+def _uncertainty_profile(n: int, p: float, profile: bytes) -> _Uncertainty:
+    """:func:`_uncertainty` on the moment magnitudes ``profile`` (float64
+    bytes, indexed by packed key, entry 0 zero), up to four systems."""
     moments = np.frombuffer(profile)
-    keys = np.flatnonzero(moments).tolist()
+    keys = np.flatnonzero(moments)
+    return _uncertainty(n, p, dict(zip(keys.tolist(), moments[keys].tolist())))
 
-    if p == math.inf:
-        # The worst set is a single worst string, the first in
-        # table.strings() order, which is the order of a << n | b.
-        by_ab = moments.reshape(1 << n, 1 << n).T.ravel()
-        first = int(np.argmax(by_ab))
-        worst_abs = float(by_ab[first])
-        worst = (PauliString.hermitian(n, first >> n, first & (1 << n) - 1).text(),)
-        detail = (("p", "inf"), ("mode", "max"), ("strings", len(keys)))
-        return 1.0 - worst_abs, worst if worst_abs else (), detail
 
-    # Zero moments add nothing, so only the non-zero ones are weighed.
-    weight = dict(zip(keys, [m**p for m in moments[keys].tolist()]))
-    worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
+def _uncertainty(n: int, p: float, size: dict[int, float]) -> _Uncertainty:
+    """The uncertainty rung at a normalized exponent ``p``, from the
+    magnitudes ``size`` of the non-zero moments, keyed by packed key
+    ``a | b << n``: the one place that picks the search."""
     low = (1 << n) - 1
-    members.sort(key=lambda k: (k & low, k >> n))  # table.strings() order
-    worst = tuple(map(_basis_texts(n).__getitem__, members))
-    detail = (("p", p), ("mode", "exhaustive"), ("sets", sets), ("strings", len(keys)))
-    return 1.0 - worst_sum, worst, detail
 
+    def order(k: int) -> tuple[int, int]:  # table.strings() order
+        return k & low, k >> n
 
-def _stored_uncertainty(table: MomentTable, p: float) -> tuple[float, tuple[str, ...], tuple]:
-    """The uncertainty rung above four systems, read from the stored
-    non-zero moments alone: the 4**n moment vector grows fourfold per
-    system, while the canonical families hold at most 65 (2n + 1) strings."""
-    n = table.n
-    # In table.strings() order; an absent or zero moment adds nothing.
-    size = {key: abs(float(m)) for key, m in sorted(table._values.items()) if m}
+    sets = None
     if p == math.inf:
-        key, worst_abs = max(size.items(), key=lambda item: item[1], default=(None, 0.0))
-        worst = (PauliString.hermitian(n, *key).text(),) if worst_abs else ()
-        return 1.0 - worst_abs, worst, (("p", "inf"), ("mode", "max"), ("strings", len(size)))
-    weight = {a | b << n: m**p for (a, b), m in size.items()}
-    families = _canonical_families(n)
-    worst_sum, worst = 0.0, ()
-    for family in families:
-        total = sum(weight.get(s.a | s.b << n, 0.0) for s in family)
-        if total > worst_sum:
-            worst_sum = total
-            worst = tuple(s.canonical().text() for s in family)
-    detail = (("p", p), ("mode", "canonical"), ("sets", len(families)), ("strings", len(size)))
-    return 1.0 - worst_sum, worst, detail
+        mode, worst_sum = "max", max(size.values(), default=0.0)
+        members = [min([k for k, m in size.items() if m == worst_sum], key=order)] if size else []
+    elif n <= MAX_COMMUTING_SYSTEMS:
+        mode, keys = "exhaustive", sorted(size)
+        weight = {k: m**p for k, m in size.items()}
+        worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
+        members.sort(key=order)
+    else:
+        mode, families = "canonical", _canonical_families(n)
+        worst_sum, members, sets = 0.0, [], len(families)
+        for family in families:
+            total = sum(size[k] ** p for k in family if k in size)
+            if total > worst_sum:
+                worst_sum, members = total, family
+    if n <= MAX_COMMUTING_SYSTEMS:  # every key's text is kept per n
+        worst = tuple(map(_basis_texts(n).__getitem__, members))
+    else:
+        worst = tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in members)
+    detail = [("p", "inf" if p == math.inf else p), ("mode", mode), ("sets", sets), ("strings", len(size))]
+    return 1.0 - worst_sum, worst, tuple(item for item in detail if item[1] is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .rac import (
     RacParams,
     rac_decode,
     rac_encode_pgnst,
+    rac_learning_params,
     rac_params,
     rac_repetition_params,
 )
@@ -41,14 +42,18 @@ __all__ = [
 
 MAX_PROTOCOL_BITS = 12
 
+# 4 d / gamma**2 must stay below 1e308, inside the float range, for the
+# logarithm of the learning bound to be finite.
+_MAX_LOG_ARGUMENT = math.log(1e308)
 
-def _carriers_for(total: int) -> int:
-    """Smallest k with 3**k >= total."""
-    k, cap = 0, 1
-    while cap < total:
-        k += 1
-        cap *= 3
-    return max(k, 1)
+
+def _smallest_code(entries: int, p: float, theory: str = "p-gnst") -> RacParams:
+    """:func:`~boxworld.rac.rac_params` of the fewest carriers whose code
+    holds ``entries`` bits."""
+    carriers = 1
+    while (params := rac_params(theory, carriers, p)).encoded_bits < entries:
+        carriers += 1
+    return params
 
 
 @dataclass(frozen=True)
@@ -99,13 +104,10 @@ def ip_oneway_cost(n: int, p: float, theory: str = "p-gnst") -> CommProtocolResu
     if n < 1:
         raise DomainError("need at least one input bit")
     theory = theory.strip().lower()
-    entries = (1 << n) - (theory == "p-bin")
-    carriers = 1
-    while (params := rac_params(theory, carriers, p)).encoded_bits < entries:
-        carriers += 1
+    params = _smallest_code((1 << n) - (theory == "p-bin"), p, theory)
     exact = params.p == math.inf
     note = "" if exact else "finite p: per-retrieval success degraded; certainty needs p = inf"
-    return CommProtocolResult("inner-product", n, theory, carriers, params.recovery, exact, note)
+    return CommProtocolResult("inner-product", n, theory, params.carriers, params.recovery, exact, note)
 
 
 def inner_product(x: Sequence[int], y: Sequence[int]) -> int:
@@ -141,7 +143,7 @@ def simulate_ip_protocol(
     table = [0]
     for bit in reversed(x):
         table += [v ^ bit for v in table]
-    carriers = _carriers_for(len(table))
+    carriers = _smallest_code(len(table), p).carriers
     padded = table + [0] * (3**carriers - len(table))
     index = sum(bit << (n - 1 - i) for i, bit in enumerate(y)) + 1
     bit, q = rac_decode(rac_encode_pgnst(padded, carriers, p), index)
@@ -174,7 +176,7 @@ def pir_simulate(
     if any(b not in (0, 1) for b in db):
         raise DomainError("database entries must be bits")
     p = validate_exponent(p)
-    carriers = _carriers_for(total)
+    carriers = _smallest_code(total, p).carriers
     padded = list(db) + [0] * (3**carriers - total)
     bit, per_copy = rac_decode(rac_encode_pgnst(padded, carriers, p), i)
     if p == math.inf:
@@ -266,6 +268,10 @@ def sample_complexity_lower_bound(
     ln(1/delta)/epsilon; the bound is their maximum.  It applies when
     gamma^2 >= 4d * 2**(-sqrt(d/6)), which the result reports without
     refusing to compute outside it.
+
+    Raises:
+        DomainError: for inputs outside their ranges, or when 4d/gamma^2
+            exceeds 1e308, where its logarithm would leave the float range.
     """
     if d < 1:
         raise DomainError(f"dimension must be at least 1, got {d}")
@@ -275,6 +281,7 @@ def sample_complexity_lower_bound(
         raise DomainError(f"epsilon {epsilon} outside (0, 1)")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta {delta} outside (0, 1]")
+    _check_log_argument(math.log(d), gamma)
     log_term = math.log(4.0 * d / gamma**2)
     first = (d / (2.0 * log_term**2) - 1.0) / (32.0 * epsilon)
     second = math.log(1.0 / delta) / epsilon
@@ -282,6 +289,15 @@ def sample_complexity_lower_bound(
     return SampleComplexityBound(
         first, second, max(first, second), gamma**2 >= threshold, threshold
     )
+
+
+def _check_log_argument(log_d: float, gamma: float) -> None:
+    """Refuse a dimension e**log_d whose 4d/gamma^2 exceeds 1e308 (or is NaN)."""
+    if not math.log(4.0) + log_d - 2.0 * math.log(gamma) <= _MAX_LOG_ARGUMENT:
+        raise DomainError(
+            f"dimension e^{log_d:.6g} is too large at gamma = {gamma}: "
+            "4d/gamma^2 must stay below 1e308"
+        )
 
 
 @dataclass(frozen=True)
@@ -357,10 +373,16 @@ def learnability_threshold(
     fat-shattering dimension is 3**carriers, and the sample bound
     follows.  The asymptotic field summarizes how the dimension scales
     with the budget at this exponent.
-    """
-    from .rac import rac_learning_params
 
+    Raises:
+        DomainError: for a budget that is not finite, below one carrier's
+            minimum, or so large that 4 * 3**carriers / gamma^2 exceeds
+            1e308; the last is refused before 3**carriers is computed.
+    """
+    if not math.isfinite(total_bits):
+        raise DomainError(f"budget must be finite, got {total_bits}")
     carriers = rac_learning_params(total_bits, p, gamma)
+    _check_log_argument(carriers * math.log(3.0), gamma)
     dimension = 3**carriers
     bound = sample_complexity_lower_bound(dimension, gamma, epsilon, delta)
     exponent = 1.0 / (2.0 / validate_exponent(p) + 1.0)

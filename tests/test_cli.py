@@ -239,6 +239,74 @@ class TestCommCommands:
         assert payload["asymptotic"] == "O(3^(budget^0.5))"
 
 
+LEARN_ARGS = ("--p", "inf", "--gamma", "0.1", "--epsilon", "0.1", "--delta", "0.1")
+
+# Budget 2060 gives 639 carriers, the last budget step whose 4d/gamma^2
+# stays inside the float range.
+LEARN_2060 = """\
+{
+  "asymptotic": "O(3^(budget^1))",
+  "bound": {
+    "first_branch": 2.3671702255649374e+298,
+    "precondition_ok": true,
+    "precondition_threshold": 0.0,
+    "second_branch": 23.025850929940457,
+    "value": 2.3671702255649374e+298
+  },
+  "carriers": 639,
+  "dimension": DIMENSION,
+  "params": {
+    "delta": 0.1,
+    "dimension": DIMENSION,
+    "epsilon": 0.1,
+    "eta": null,
+    "gamma": 0.1,
+    "regime": "eta unspecified",
+    "sample_bound": 2.3671702255649374e+298
+  },
+  "threshold": 2.3671702255649374e+298
+}
+""".replace("DIMENSION", str(3**639))
+
+
+class TestLearnRange:
+    def test_largest_budget_is_pinned(self, runner):
+        result = invoke(runner, "learn", "--budget", "2060", *LEARN_ARGS)
+        assert result.exit_code == 0
+        assert result.stdout == LEARN_2060
+
+    @pytest.mark.parametrize("budget", ["2070", "2080", "2090", "1e6", "inf", "nan"])
+    def test_budget_past_the_float_range_is_refused(self, runner, budget):
+        result = invoke(runner, "learn", "--budget", budget, *LEARN_ARGS)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("budget", [2070.0, 2080.0, 2090.0, 1e6, math.inf, math.nan])
+    def test_run_named_returns_two(self, budget, capsys):
+        config = {"command": "learn", "budget": budget, "p": math.inf, "gamma": 0.1, "epsilon": 0.1, "delta": 0.1}
+        assert run_named(config) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestXorLimit:
+    def test_one_question_past_the_limit_is_refused_at_once(self, runner, monkeypatch):
+        from boxworld import games
+
+        def refuse(*args):
+            raise AssertionError("a game table was built")
+
+        monkeypatch.setattr(games, "XorGame", refuse)
+        for counts in (("--s-count", "129"), ("--t-count", "129")):
+            result = invoke(runner, "xor", "--game", "random", *counts)
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+            assert len(errors) == 1 and "128 questions per party" in errors[0]
+
+
 class TestValidateCommand:
     def test_hierarchy_witness_passes(self, runner, tmp_path):
         path = tmp_path / "witness.json"

@@ -64,7 +64,11 @@ def canonical_margin(state, p):
     """1 - the worst power sum over the canonical families, the search
     beyond four systems, at any n."""
     table = constraints._moment_table(state)
-    families = constraints._canonical_families(table.n)
+    n, low = table.n, (1 << table.n) - 1
+    families = [
+        [PauliString.hermitian(n, k & low, k >> n) for k in row]
+        for row in constraints._canonical_families(n)
+    ]
     return 1.0 - max(sum(abs(table.value(s)) ** p for s in f) for f in families)
 
 
@@ -622,6 +626,17 @@ def tied_table(n):
     order stored first."""
     top = (1 << n) - 1
     return CoefficientState(n, {(3, 1): -0.4, (top, 0): 0.3, (1, 2): 0.4, (0, 5): 0.1, (0, top): -0.2})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_max_names_the_first_largest_moment(n):
+    """Read from the moment vector (n <= 4) or the stored moments (n > 4),
+    the p = infinity rung names the first largest |m| in table.strings()
+    order."""
+    report = check_p_uncertainty(tied_table(n), math.inf)
+    assert report.margin == 0.6
+    assert report.worst_set == ("+1 XZ" + "I" * (n - 2),)
+    assert report.detail == {"p": "inf", "mode": "max", "strings": 5}
 
 
 class TestStoredMoments:

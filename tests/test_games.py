@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from boxworld import oracle
 from boxworld.constraints import check_p_uncertainty, validate_gnst
-from boxworld.errors import DimensionError, DomainError, ValidationError
+from boxworld.errors import DimensionError, DomainError, ResourceError, ValidationError
+from boxworld import games as games_module
 from boxworld.games import (
     CHSH_XZ_PAIRS,
+    MAX_XOR_QUESTIONS,
     XorGame,
     build_xor_game_state,
     chsh_game,
@@ -182,6 +184,22 @@ class TestXorGame:
     def test_random_game_needs_questions(self, counts):
         with pytest.raises(DomainError, match="at least one question"):
             random_xor_game(*counts)
+
+    @pytest.mark.parametrize("counts", [(MAX_XOR_QUESTIONS + 1, 1), (1, MAX_XOR_QUESTIONS + 1)])
+    def test_question_limit(self, counts, monkeypatch):
+        s, t = counts
+        game = XorGame(s, t, ((1.0 / (s * t),) * t,) * s, ((0,) * t,) * s)
+        # Refused before the ladder is built: calling None would raise TypeError.
+        monkeypatch.setattr(games_module, "gamma_set", None)
+        with pytest.raises(ResourceError, match="questions per party"):
+            random_xor_game(*counts)
+        with pytest.raises(ResourceError, match="questions per party"):
+            build_xor_game_state(game, 2)
+
+    def test_limit_admits_its_own_size(self):
+        game = random_xor_game(MAX_XOR_QUESTIONS, 1, seed=0)
+        _, strategy = build_xor_game_state(game, math.inf)
+        assert xor_game_value(game, strategy) == pytest.approx(1.0)
 
 
 class TestXorStrategy:

@@ -184,6 +184,17 @@ class TestSampleComplexity:
         with pytest.raises(DomainError):
             sample_complexity_lower_bound(27, 0.25, 0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "d", [3**643, 3**646, 3**649, math.inf], ids=["3^643", "3^646", "3^649", "inf"]
+    )
+    def test_log_argument_past_the_float_range_is_refused(self, d):
+        with pytest.raises(DomainError, match="1e308"):
+            sample_complexity_lower_bound(d, 0.1, 0.1, 0.1)
+
+    def test_largest_learnable_dimension_is_finite(self):
+        bound = sample_complexity_lower_bound(3**639, 0.1, 0.1, 0.1)
+        assert bound.value == 2.3671702255649374e298
+
 
 class TestLearnParams:
     def test_regimes(self):
