@@ -420,7 +420,7 @@ class TestBatchedRungs:
             assert plan.named == tuple(tuple(s.a | s.b << n for s in c) for c in collections)
             covered, sizes = [], []
             for rows, idx, signs, characters in plan.groups:
-                assert (rows.dtype, idx.dtype, signs.dtype) == (np.int32, np.int16, np.int8)
+                assert (rows.dtype, idx.dtype, signs.dtype) == (np.intp, np.intp, np.float64)
                 assert np.array_equal(characters, constraints._characters(idx.shape[1]))
                 covered += rows.tolist()
                 sizes.append(idx.shape[1])
@@ -434,6 +434,13 @@ class TestBatchedRungs:
                     assert row_signs.tolist() == [e.hermitian_sign() for e in elements]
             assert sorted(covered) == list(range(len(collections)))
             assert sizes == sorted(set(sizes))
+
+    @pytest.mark.parametrize("plan, n, mib", [("_local_plan", 5, 2.0), ("_commuting_plan", 4, 0.625)])
+    def test_plans_stay_small(self, plan, n, mib):
+        """The intp and float64 plans at each rung's system limit hold
+        1.79 and 0.58 MiB of arrays."""
+        groups = getattr(constraints, plan)(n).groups
+        assert sum(array.nbytes for group in groups for array in group) <= mib * 2**20
 
     def test_pr_box_counts(self):
         report = check_local_moments(pr_box_state())
@@ -676,6 +683,29 @@ class TestStoredMoments:
 
 
 class TestLadderPaths:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_strict_table_reads_as_lenient(self, n, rng):
+        """Only strict tables run the unknown-moment (NaN) passes; on a
+        strict table that stores every moment they change no report."""
+        low = (1 << n) - 1
+        for state in ladder_families(n, rng):
+            lenient = constraints._moment_table(state)
+            if lenient.strict:  # the PR box leaves moments unmeasured
+                continue
+            vec = lenient.vector()
+            strict = MomentTable(n, {(k & low, k >> n): float(vec[k]) for k in range(1, 4**n)})
+            text = lambda report: json.dumps(report.to_json_dict())
+            for check in (check_local_moments, check_commuting_moments):
+                assert text(check(strict)) == text(check(lenient))
+            for p in (1.5, 2.0, 3.0, math.inf):
+                expected = text(check_p_uncertainty(lenient, p))
+                misses = constraints._uncertainty_profile.cache_info().misses
+                assert text(check_p_uncertainty(strict, p)) == expected
+                # Equal profiles have equal bytes: the strict table's is a cache hit.
+                assert constraints._uncertainty_profile.cache_info().misses == misses
+                assert text(classify_state(strict, p)) == text(classify_state(lenient, p))
+            assert np.array_equal(constraints._density_matrix(strict), constraints._density_matrix(lenient))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_generator_matrix_matches_pairwise_products(self, n, rng):
         for state in ladder_families(n, rng):
