@@ -355,14 +355,21 @@ def _uncertainty(n: int, p: float, size: dict[int, float], strings: int) -> _Unc
         members = [min([k for k, m in size.items() if m == worst_sum], key=order)] if size else []
     elif n <= MAX_COMMUTING_SYSTEMS:
         mode, keys = "exhaustive", sorted(size)
-        weight = {k: m**p for k, m in size.items()}
+        try:
+            weight = {k: m**p for k, m in size.items()}
+        except OverflowError:  # a power past the float range reads inf, and fails
+            with np.errstate(over="ignore"):
+                weight = dict(zip(size, np.power(list(size.values()), p).tolist()))
         worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
         members.sort(key=order)
     else:
         mode, families = "canonical", _canonical_families(n)
         worst_sum, members, sets = 0.0, [], len(families)
         for family in families:
-            total = sum(size[k] ** p for k in family if k in size)
+            try:
+                total = sum(size[k] ** p for k in family if k in size)
+            except OverflowError:  # a power past the float range: the sum is inf
+                total = math.inf
             if total > worst_sum:
                 worst_sum, members = total, family
     if n <= MAX_COMMUTING_SYSTEMS:  # every key's text is kept per n
@@ -806,7 +813,10 @@ def validate_gnst(state: GnstState, tol: float = DEFAULT_TOL) -> ValidationRepor
     probability is non-negative; marginal distributions do not depend on
     the measurement choices outside the marginalized systems; and where
     two settings overlap, the moments of the shared sub-collection
-    agree.  The aggregate passes iff all four do; its margin is the
+    agree.  The last two read one :func:`~boxworld.states._marginals`
+    pass, comparing each setting with the first that has its labels on a
+    subset, and name the first largest difference in (subset, setting)
+    order.  The aggregate passes iff all four do; its margin is the
     worst sub-margin and the sub-reports ride along in the detail.
     Reports instead of raising, so tables built with ``check=False``
     can be diagnosed.
@@ -825,30 +835,22 @@ def validate_gnst(state: GnstState, tol: float = DEFAULT_TOL) -> ValidationRepor
         if low < pos_min:
             pos_min, pos_worst = low, (str(setting.labels),)
 
-    signal_dev, signal_worst = 0.0, ()
-    overlap_dev, overlap_worst = 0.0, ()
+    found = dict.fromkeys(("no-signaling", "overlap-consistency"), (0.0, ()))
     if n > 1:
-        mu = (np.array(rows) @ _characters(1 << n)).tolist()
-        for keep in itertools.chain.from_iterable(
-            itertools.combinations(range(n), r) for r in range(1, n)
-        ):
-            column = _column(n, keep)
-            moments: dict[tuple[int, ...], float] = {}
-            for row, (setting, sub, _, deviation, source) in zip(mu, _marginals(state, keep)):
-                pair = (str(source), str(setting.labels))
-                if deviation > signal_dev:
-                    signal_dev, signal_worst = deviation, pair
-                dev = abs(row[column] - moments.setdefault(sub, row[column]))
-                if dev > overlap_dev:
-                    overlap_dev, overlap_worst = dev, pair
+        mu = np.array(rows) @ _characters(1 << n)
+        keeps = [k for r in range(1, n) for k in itertools.combinations(range(n), r)]
+        for keep, (_, source, signal) in zip(keeps, _marginals(state, keeps)):
+            moment = mu[:, _column(n, keep)]
+            for name, dev in zip(found, (signal, np.abs(moment - moment[source]))):
+                i = int(dev.argmax())
+                if dev[i] > found[name][0]:
+                    pair = (str(settings[source[i]].labels), str(settings[i].labels))
+                    found[name] = float(dev[i]), pair
 
     checks = (
         ValidationReport("normalization", norm_dev <= tol, -norm_dev, norm_worst),
         ValidationReport("positivity", pos_min >= -tol, pos_min, pos_worst),
-        ValidationReport("no-signaling", signal_dev <= tol, -signal_dev, signal_worst),
-        ValidationReport(
-            "overlap-consistency", overlap_dev <= tol, -overlap_dev, overlap_worst
-        ),
+        *(ValidationReport(name, dev <= tol, -dev, pair) for name, (dev, pair) in found.items()),
     )
     worst = min(checks, key=lambda r: r.margin)
     return ValidationReport(

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, ResourceError
 from .games import XorGame
 from .pauli import AntiCommutingSet, PauliString, hermitian_basis, symplectic_form
-from .states import CliffordCircuit, CoefficientState
+from .states import CliffordCircuit, CoefficientState, all_outcomes
 
 __all__ = [
     "MAX_DENSE_SYSTEMS",
@@ -32,6 +32,7 @@ __all__ = [
     "is_psd",
     "hadamard_sign_matrix",
     "subset_moment_vector",
+    "marginal_vector",
     "hadamard_factorization_check",
     "grid_max_chsh",
     "xor_classical_value",
@@ -220,6 +221,16 @@ def subset_moment_vector(probs: Sequence[float], m: int) -> np.ndarray:
     if probs.shape != (1 << m,):
         raise DimensionError(f"need 2**{m} probabilities")
     return _parity_signs(1 << m) @ probs
+
+
+def marginal_vector(probs: Sequence[float], n: int, keep: Sequence[int]) -> tuple[float, ...]:
+    """The marginal of an n-system outcome vector on the systems ``keep``,
+    summed in Python one outcome at a time, in outcome order, from 0.0."""
+    sums: dict[tuple[int, ...], float] = {}
+    for outcome, pr in zip(all_outcomes(n), probs):
+        key = tuple(outcome[i] for i in keep)
+        sums[key] = sums.get(key, 0.0) + pr
+    return tuple(sums[o] for o in all_outcomes(len(keep)))
 
 
 def hadamard_factorization_check(

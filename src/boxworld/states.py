@@ -604,15 +604,15 @@ class GnstState:
         """Marginals on any subset must not depend on discarded labels."""
         if self.is_compact or self._n == 1:
             return
-        for keep in itertools.chain.from_iterable(
-            itertools.combinations(range(self._n), r) for r in range(1, self._n)
-        ):
-            for setting, _, _, deviation, source in _marginals(self, keep):
-                if deviation > tol:
-                    raise NoSignalingError(
-                        f"marginal on systems {keep} differs between "
-                        f"settings {source} and {setting.labels}"
-                    )
+        settings = self.settings()
+        keeps = [k for r in range(1, self._n) for k in itertools.combinations(range(self._n), r)]
+        for keep, (_, source, deviation) in zip(keeps, _marginals(self, keeps)):
+            i = int((deviation > tol).argmax())  # the first setting past tol, if any
+            if deviation[i] > tol:
+                raise NoSignalingError(
+                    f"marginal on systems {keep} differs between "
+                    f"settings {settings[source[i]].labels} and {settings[i].labels}"
+                )
 
     # -- serialization ------------------------------------------------
 
@@ -662,35 +662,32 @@ class GnstState:
         )
 
 
-def _marginal_vector(
-    probs: Sequence[float], n: int, keep: Sequence[int]
-) -> tuple[float, ...]:
-    sums: dict[tuple[int, ...], float] = {}
-    for outcome, pr in zip(all_outcomes(n), probs):
-        key = tuple(outcome[i] for i in keep)
-        sums[key] = sums.get(key, 0.0) + pr
-    return tuple(sums[o] for o in all_outcomes(len(keep)))
-
-
 def _marginals(
-    state: GnstState, keep: Sequence[int]
-) -> Iterator[
-    tuple[FiducialSetting, tuple[int, ...], tuple[float, ...], float, tuple[int, ...]]
-]:
-    """Every setting's marginal on the systems ``keep``.
+    state: GnstState, keeps: Iterable[Sequence[int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every setting's marginal on each sorted ``keep`` of ``keeps``, read
+    from one array of the outcome vectors.
 
-    Yields (setting, its labels on ``keep``, marginal, deviation,
-    source), where source is the first setting with the same labels on
-    ``keep`` and deviation is the largest entrywise difference between
-    the two marginals (0 for the source itself).
+    Per keep, yields the marginals, one row per setting in
+    ``state.settings()`` order; each setting's source, the index of the
+    first setting with the same labels on ``keep``; and each deviation,
+    the largest entrywise difference from the source's marginal.  The
+    discarded outcomes are added one at a time in outcome order from
+    0.0, as in a Python sum (``ndarray.sum`` adds in another order).
     """
-    first: dict[tuple[int, ...], tuple[tuple[float, ...], tuple[int, ...]]] = {}
-    for setting in state.settings():
-        sub = tuple(setting.labels[i] for i in keep)
-        marg = _marginal_vector(state.probabilities(setting), state.n, keep)
-        reference, source = first.setdefault(sub, (marg, setting.labels))
-        deviation = max(abs(x - y) for x, y in zip(marg, reference))
-        yield setting, sub, marg, deviation, source
+    import numpy as np
+
+    n, settings = state.n, state.settings()
+    rows = np.array([state.probabilities(s) for s in settings]).reshape((-1,) + (2,) * n)
+    labels = np.array([s.labels for s in settings])
+    for keep in keeps:
+        drop = [i for i in range(n) if i not in keep]
+        parts = rows.transpose([1 + i for i in drop] + [0] + [1 + i for i in keep])
+        marginals = sum(parts.reshape(1 << len(drop), len(settings), -1), 0.0)
+        first: dict[tuple[int, ...], int] = {}
+        subs = map(tuple, labels[:, keep].tolist())
+        source = np.array([first.setdefault(sub, i) for i, sub in enumerate(subs)])
+        yield marginals, source, np.abs(marginals - marginals[source]).max(axis=1)
 
 
 def pr_box_state() -> GnstState:
@@ -721,15 +718,16 @@ def marginalize(state: GnstState, systems: Sequence[int]) -> GnstState:
         raise DimensionError(f"systems {systems} out of range for n={state.n}")
     if len(keep) == state.n:
         return state
-    collected: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for setting, sub, marg, deviation, source in _marginals(state, keep):
-        if deviation > DEFAULT_TOL:
-            raise NoSignalingError(
-                f"marginal on systems {keep} differs between settings "
-                f"{source} and {setting.labels}"
-            )
-        collected.setdefault(sub, marg)
-    return GnstState.from_table(len(keep), collected)
+    settings = state.settings()
+    marginals, source, deviation = next(_marginals(state, [keep]))
+    i = int((deviation > DEFAULT_TOL).argmax())  # the first setting past tol, if any
+    if deviation[i] > DEFAULT_TOL:
+        raise NoSignalingError(
+            f"marginal on systems {keep} differs between settings "
+            f"{settings[source[i]].labels} and {settings[i].labels}"
+        )
+    table = {tuple(settings[i].labels[j] for j in keep): marginals[i] for i in source.tolist()}
+    return GnstState.from_table(len(keep), table)
 
 
 MAX_COLLECTION_SIZE = 12

@@ -15,8 +15,8 @@ from boxworld.cli import main, run_named, run_psphere, run_summary_table
 from boxworld.constraints import classify_state
 from boxworld.errors import DomainError
 from boxworld.games import chsh_win_probability
-from boxworld.rac import rac_encode_pbin
-from boxworld.states import CoefficientState
+from boxworld.rac import rac_encode_pbin, rac_encode_pgnst
+from boxworld.states import CoefficientState, GnstState
 
 
 @pytest.fixture
@@ -354,6 +354,20 @@ class TestValidateCommand:
         assert result.exit_code == 2
         errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_table_file_reads_as_its_compact_code(self, runner, tmp_path, n):
+        code = rac_encode_pgnst(np.random.default_rng(n).integers(0, 2, 3**n).tolist(), n, 2)
+        table = GnstState.from_table(n, {s.labels: code.probabilities(s) for s in code.settings()})
+        levels = []
+        for name, state in (("compact", code), ("table", table)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(state.to_json_dict()))
+            result = invoke(runner, "validate", "--file", str(path), "--p", "2")
+            assert result.exit_code == 0
+            levels.append(json.loads(result.stdout)["level"])
+        assert json.loads(path.read_text())["kind"] == "gnst-table"
+        assert levels[0] == levels[1]
 
     def test_five_systems_report_the_rungs_that_ran(self, runner, tmp_path):
         state = oracle.random_quantum_state(5, np.random.default_rng(0))

@@ -161,6 +161,19 @@ class TestUncertainty:
         report = check_p_uncertainty(pr_box_state(), math.inf)
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "n, values, mode",
+        [
+            (2, {(a, b): 1e308 for a in range(4) for b in range(4) if a or b}, "exhaustive"),
+            (5, {(1, 0): 1e200}, "canonical"),  # X on system 0, in a canonical family
+        ],
+    )
+    def test_powers_past_the_float_range_fail(self, n, values, mode):
+        table = MomentTable(n, values, strict=False)
+        report = check_p_uncertainty(table, 2)
+        assert (report.passed, report.margin, report.detail["mode"]) == (False, -math.inf, mode)
+        assert classify_state(table, 2).level == "invalid"
+
 
 class TestMomentMatrix:
     def test_two_string_layout(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from boxworld.states import (
     pr_box_state,
     probabilities_from_moments,
     tensor_product,
+    _marginals,
     _reading_json,
 )
 
@@ -396,6 +398,105 @@ class TestGnstState:
             marginalize(pr_box_state(), [])
         with pytest.raises(DimensionError):
             marginalize(pr_box_state(), [3])
+
+
+def reference_marginals(state, keep):
+    """Each setting's marginal on ``keep`` by the oracle's Python sum,
+    its source's index and its largest entrywise difference from it."""
+    settings = state.settings()
+    marginals = [oracle.marginal_vector(state.probabilities(s), state.n, keep) for s in settings]
+    first = {}
+    for i, setting in enumerate(settings):
+        source = first.setdefault(tuple(setting.labels[j] for j in keep), i)
+        deviation = max(abs(x - y) for x, y in zip(marginals[i], marginals[source]))
+        yield marginals[i], source, deviation
+
+
+def random_tables(n, rng):
+    """Signaling and non-signaling tables on all settings and on random
+    subsets of them."""
+    settings = [s.labels for s in all_settings(n)]
+    # Non-signaling: system i answers label k with +1 at rate[i, k], alone.
+    rate = rng.uniform(0.0, 1.0, (n, 4))
+    product = {
+        labels: [
+            math.prod(rate[i, k] if o > 0 else 1 - rate[i, k] for i, k, o in zip(range(n), labels, out))
+            for out in all_outcomes(n)
+        ]
+        for labels in settings
+    }
+    code = GnstState.compact(n, 0.7, rng.choice([-1, 1], 3**n).tolist())
+    correlated = {s.labels: code.probabilities(s) for s in code.settings()}
+    signaling = {labels: rng.dirichlet(np.ones(2**n)) for labels in settings}
+    for table in (product, correlated, signaling):
+        yield table
+        chosen = rng.choice(len(settings), int(rng.integers(1, len(settings) + 1)), replace=False)
+        yield {settings[i]: table[settings[i]] for i in sorted(chosen)}
+
+
+class TestMarginals:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_routine_matches_the_python_sum(self, n, rng):
+        keeps = [k for r in range(1, n + 1) for k in itertools.combinations(range(n), r)]
+        for table in random_tables(n, rng):
+            state = GnstState.from_table(n, table, check=False)
+            for keep, (marginals, source, deviation) in zip(keeps, _marginals(state, keeps)):
+                expected = list(reference_marginals(state, keep))
+                assert marginals.tolist() == [list(m) for m, _, _ in expected]
+                assert source.tolist() == [s for _, s, _ in expected]
+                assert deviation.tolist() == [d for _, _, d in expected]
+
+    def test_signaling_order(self):
+        """The check raises at the first violation in (keep, setting)
+        order; the report names the first largest one."""
+        uniform = [1 / 8] * 8
+        # (1, 1, 2) and (1, 1, 3) bias system 0: 0.05 and 0.1 on keep (0,).
+        biased = [(0.55 if a > 0 else 0.45) / 4 for a, _, _ in all_outcomes(3)]
+        more = [(0.6 if a > 0 else 0.4) / 4 for a, _, _ in all_outcomes(3)]
+        # (2, 1, 1) and (3, 1, 1) correlate systems 1 and 2: 0.2 on keep (1, 2).
+        correlated = [(1 + 0.8 * b * c) / 8 for _, b, c in all_outcomes(3)]
+        table = {
+            (1, 1, 1): uniform,
+            (1, 1, 2): biased,
+            (1, 1, 3): more,
+            (2, 1, 1): correlated,
+            (3, 1, 1): correlated,
+        }
+        pair = r"differs between settings \(1, 1, 1\) and \(1, 1, 2\)"
+        with pytest.raises(NoSignalingError, match=r"systems \(0,\) " + pair):
+            GnstState.from_table(3, table)
+        state = GnstState.from_table(3, table, check=False)
+        with pytest.raises(NoSignalingError, match=r"systems \[0\] " + pair):
+            marginalize(state, [0])
+        worst = r"systems \[1, 2\] differs between settings \(1, 1, 1\) and \(2, 1, 1\)"
+        with pytest.raises(NoSignalingError, match=worst):
+            marginalize(state, [2, 1])
+        checks = {c["constraint"]: c for c in validate_gnst(state).detail["checks"]}
+        for name, margin in (("no-signaling", -0.2), ("overlap-consistency", -0.8)):
+            assert checks[name]["worst_set"] == ["(1, 1, 1)", "(2, 1, 1)"]
+            assert checks[name]["margin"] == pytest.approx(margin)
+
+    def test_marginalize_compact_code(self):
+        code = GnstState.compact(3, 5**-0.5, [(-1) ** i for i in range(27)])
+        pair = marginalize(code, [2, 0])
+        assert [s.labels for s in pair.settings()] == [s.labels for s in all_settings(2)]
+        for setting in code.settings():
+            labels = (setting.labels[0], setting.labels[2])
+            expected = oracle.marginal_vector(code.probabilities(setting), 3, [0, 2])
+            assert pair.probabilities(FiducialSetting(labels)) == expected
+            assert expected == pytest.approx([0.25] * 4, abs=1e-15)
+
+    @pytest.mark.parametrize("keep", [[0], [1, 2], [0, 2], [0, 1, 2]])
+    def test_marginalize_partial_table(self, keep, rng):
+        product, *_ = random_tables(3, rng)
+        settings = [all_settings(3)[i] for i in rng.choice(27, 12, replace=False)]
+        state = GnstState.from_table(3, {s.labels: product[s.labels] for s in settings})
+        marginal = marginalize(state, keep)
+        first = {}
+        for setting in state.settings():
+            sub = tuple(setting.labels[j] for j in keep)
+            first.setdefault(sub, oracle.marginal_vector(state.probabilities(setting), 3, keep))
+        assert {s.labels: marginal.probabilities(s) for s in marginal.settings()} == first
 
 
 class TestMomentTable:
