@@ -2,39 +2,35 @@
 
 The checks form a hierarchy.  The p-uncertainty relation bounds the
 power sum of moments over every pairwise anti-commuting set.  One body
-checks it at every n, from the non-zero magnitudes |m| keyed by packed
-exponents: up to four systems a maximum-weight clique search finds the
-worst set, and beyond that a seeded search over canonical families of
-packed keys looks for violations.  Up to four systems a repeated
-magnitude profile is answered from a bounded cache (256 profiles, under
-1 MB), and a report's ``sets`` counts the sets searched for it.  Positivity
-of moment matrices over disjoint-support collections tightens it; the
-same condition over maximal commuting collections tightens it further;
-and positive-semidefiniteness of the density matrix reconstructed from
-the moments, by a Walsh-Hadamard transform, is the top of the
-ladder.  ``classify_state`` reads the state's moments once, as a
-:class:`MomentTable`, walks the levels in order on that table and
-reports the first failure, or the first rung too large to run.  Both
-positivity rungs take the smallest eigenvalue of a collection's group
-matrix ``mu[i xor j]`` (:func:`moment_matrix`), which is the minimum of
-the Walsh-Hadamard transform of its subset moments ``mu``.  Each rung keeps
-one plan per n, the dense-vector index and sign of every subset product
-of every collection, so a state's moments are read once into a vector
-and the collections of each size are transformed in one matrix product.
-A plan holds its indices as ``intp`` and its signs as float64, so a call
-gathers and multiplies without a cast.
-The maximal commuting collections are generated as Lagrangian subspaces
-(:func:`~boxworld.pauli.lagrangian_rows`), and both plans are built from
-collections given as rows of packed exponents, without Pauli string
-objects.
+checks it at every n, from one input: the table's stored non-zero
+moments as pairs of packed key ``a | b << n`` and magnitude |m|, in key
+order.  Up to four systems a maximum-weight clique search finds the
+worst set, and a repeated list of pairs is answered from a bounded cache
+(256 profiles, under 1 MB); beyond that a seeded search over canonical
+families of packed keys looks for violations.  Positivity of moment
+matrices over disjoint-support collections tightens it; the same
+condition over maximal commuting collections tightens it further; and
+positive-semidefiniteness of the density matrix reconstructed from the
+moments, by a Walsh-Hadamard transform, is the top of the ladder.
+``classify_state`` reads the state's moments once, as a
+:class:`MomentTable`, calls the rungs in order on that table and reports
+the first failure, or the first rung too large to run.  Both positivity
+rungs take the smallest eigenvalue of a collection's group matrix
+``mu[i xor j]`` (:func:`moment_matrix`), which is the minimum of the
+Walsh-Hadamard transform of its subset moments ``mu``.  Each keeps one
+plan per n, the dense-vector index (``intp``) and sign (float64) of
+every subset product of every collection, so the collections of each
+size are gathered from the moment vector and transformed in one matrix
+product.  The maximal commuting collections are generated as Lagrangian
+subspaces (:func:`~boxworld.pauli.lagrangian_rows`), and both plans are
+built from rows of packed exponents, without Pauli string objects.
 
-A state's moment vector is built once per table
-(:meth:`MomentTable.vector` caches it), and the rest of a rung's setup
-is kept per n: the plans, the text of every basis string (for worst
-sets), the anti-commutation table the clique search gathers from, and
-the density rung's phases, characters and gather index.  Each of these
-per-n tables is built on first use and held in an ``lru_cache`` whose
-``maxsize`` is the rung's system limit, so the caches are bounded.
+Only the rungs above the uncertainty rung read the 4**n moment vector,
+which :meth:`MomentTable.vector` builds once per table.  The rest of a
+rung's setup is kept per n: the plans, the text of every basis string
+(for worst sets), the anti-commutation table the clique search gathers
+from, and the density rung's phases, characters and gather index, each
+in an ``lru_cache`` whose ``maxsize`` is the rung's system limit.
 
 Only a strict table can leave a moment unknown: its vector reads NaN
 there, while a lenient table's reads 0, and every table refuses
@@ -52,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -110,6 +106,8 @@ MAX_LOCAL_SYSTEMS = 5
 _BLOCK_MOMENTS = 16384
 
 LEVELS = ("invalid", "p-bin", "p-box", "p-nonlocal", "quantum-consistent")
+# The ladder's rungs, bottom-up; failing rung i gives level LEVELS[i].
+_RUNGS = ("p-uncertainty", "local-moments", "commuting-moments", "density-psd")
 
 StateLike = CoefficientState | GnstState | MomentTable
 
@@ -219,23 +217,25 @@ def _anticommutation(n: int) -> np.ndarray:
 
 
 def _heaviest_anticommuting_set(
-    n: int, keys: Sequence[int], weight: Sequence[float]
+    n: int, keys: Sequence[int], weights: Sequence[float]
 ) -> tuple[float, list[int], int]:
     """The pairwise anti-commuting subset of ``keys`` (packed exponents
-    ``a | b << n``) with the largest total ``weight``, its members and
-    the number of anti-commuting sets examined.
+    ``a | b << n``, ascending) with the largest total of the aligned
+    ``weights``, its members and the number of anti-commuting sets
+    examined.
 
     The set is a maximum-weight clique of the anti-commutation graph,
     found by branch and bound (Carraghan and Pardalos, Oper. Res. Lett.
     9, 1990; Ostergard, Discrete Appl. Math. 120, 2002).  Vertices are
-    taken heaviest first.  No more than 2n + 1 strings pairwise
-    anti-commute, so a branch is pruned once its weight plus its
-    2n + 1 - |clique| heaviest candidates cannot beat the best set
-    found.  Every path adds weights heaviest first, as the bound does,
-    so the pruning is exact in floating point.
+    taken heaviest first, equal weights by ascending key.  No more than
+    2n + 1 strings pairwise anti-commute, so a branch is pruned once its
+    weight plus its 2n + 1 - |clique| heaviest candidates cannot beat the
+    best set found.  Every path adds weights heaviest first, as the bound
+    does, so the pruning is exact in floating point.
     """
-    keys = sorted(keys, key=weight.__getitem__, reverse=True)
-    w = [weight[k] for k in keys]
+    order = sorted(range(len(keys)), key=weights.__getitem__, reverse=True)
+    keys = [keys[i] for i in order]
+    w = [weights[i] for i in order]
     packed = np.array(keys, dtype=np.intp)
     # The np.ix_(packed, packed) block, taken one axis at a time (faster).
     odd = _anticommutation(n).take(packed, axis=0).take(packed, axis=1)
@@ -247,10 +247,11 @@ def _heaviest_anticommuting_set(
     def extend(total: float, mask: int, candidates: int, room: int) -> None:
         nonlocal best, best_mask, examined
         while candidates:
-            bound, rest = total, candidates
-            for _ in range(min(room, rest.bit_count())):
+            bound, rest, left = total, candidates, room
+            while rest and left:
                 bound += w[(rest & -rest).bit_length() - 1]
                 rest &= rest - 1
+                left -= 1
             if bound <= best:
                 return
             v = (candidates & -candidates).bit_length() - 1
@@ -288,15 +289,15 @@ def check_p_uncertainty(
           violation search, not a proof of validity; unknown moments
           count as 0.
 
-    The rung reads only the magnitudes |m| of the non-zero moments,
-    never the signs.  Up to four systems they come from the moment
-    vector, and a magnitude profile seen before at the same n and p is
-    answered from a bounded cache (256 profiles of at most 2 KB each,
-    under 1 MB in all).  Above four systems they come from the stored
-    moments alone, never the 4**n moment vector, and nothing is cached.
-    Each call builds its own report, so ``passed`` follows ``tol`` and
-    ``detail`` is a fresh dict.  ``sets`` counts the sets the search
-    examined for that profile, also when the answer came from the cache.
+    At every n the rung reads one input: the table's stored non-zero
+    moments as pairs ``(a | b << n, |m|)`` in ascending key order, never
+    the signs and never the 4**n moment vector.  Up to four systems a
+    list of pairs seen before at the same n and p is answered from a
+    bounded cache (256 profiles keyed by at most 2.3 KB each, about
+    0.8 MB when full); above four nothing is cached.  Each call builds
+    its own report, so ``passed`` follows ``tol`` and ``detail`` is a
+    fresh dict.  ``sets`` counts the sets the search examined for that
+    profile, also when the answer came from the cache.
 
     Raises:
         DomainError: for p < 1.
@@ -304,20 +305,14 @@ def check_p_uncertainty(
     p = validate_exponent(p)
     table = _moment_table(state)
     n = table.n
+    # abs maps -0.0 to +0.0, so equal profiles have equal bytes; a zero
+    # moment, like an unknown one, adds nothing to a power sum.
+    pairs = sorted((a | b << n, abs(float(m))) for (a, b), m in table._values.items() if m)
+    keys, magnitudes = [k for k, _ in pairs], [m for _, m in pairs]
     if n > MAX_COMMUTING_SYSTEMS:
-        # The stored moments alone: the 4**n vector grows fourfold per system.
-        size = {a | b << n: abs(float(m)) for (a, b), m in table._values.items() if m}
-        margin, worst, detail = _uncertainty(n, p, size, len(size))
-    else:
-        # Indexed by packed key a | b << n, entry 0 the identity.  np.abs maps
-        # -0.0 to +0.0, so equal profiles have equal bytes.  An unknown (NaN)
-        # moment, only in a strict table, adds nothing to a power sum, as a
-        # zero one does, and becomes +0.0 too.
-        moments = np.abs(table.vector())
-        if table.strict:
-            np.fmax(moments, 0.0, out=moments)
-        moments[0] = 0.0
-        margin, worst, detail = _uncertainty_profile(n, p, moments.tobytes())
+        margin, worst, detail = _uncertainty(n, p, keys, magnitudes)
+    else:  # keys below 4**4 = 256 fit in one byte each
+        margin, worst, detail = _uncertainty_profile(n, p, bytes(keys), np.array(magnitudes).tobytes())
     return ValidationReport("p-uncertainty", margin >= -tol, margin, worst, dict(detail))
 
 
@@ -326,24 +321,16 @@ _Uncertainty = tuple[float, tuple[str, ...], tuple[tuple[str, object], ...]]
 
 
 @lru_cache(maxsize=256)
-def _uncertainty_profile(n: int, p: float, profile: bytes) -> _Uncertainty:
-    """:func:`_uncertainty` on the moment magnitudes ``profile`` (float64
-    bytes, indexed by packed key, entry 0 zero), up to four systems."""
-    moments = np.frombuffer(profile)
-    if p == math.inf:  # the max search reads only the largest magnitudes
-        top = moments.max()
-        largest = np.flatnonzero(moments == top).tolist() if top else []
-        return _uncertainty(n, p, dict.fromkeys(largest, float(top)), int(np.count_nonzero(moments)))
-    keys = np.flatnonzero(moments)
-    return _uncertainty(n, p, dict(zip(keys.tolist(), moments[keys].tolist())), len(keys))
+def _uncertainty_profile(n: int, p: float, keys: bytes, magnitudes: bytes) -> _Uncertainty:
+    """:func:`_uncertainty` on one byte per packed key and the aligned
+    magnitudes as float64 bytes, up to four systems."""
+    return _uncertainty(n, p, list(keys), np.frombuffer(magnitudes).tolist())
 
 
-def _uncertainty(n: int, p: float, size: dict[int, float], strings: int) -> _Uncertainty:
+def _uncertainty(n: int, p: float, keys: Sequence[int], magnitudes: Sequence[float]) -> _Uncertainty:
     """The uncertainty rung at a normalized exponent ``p``, from the
-    magnitudes ``size`` of the non-zero moments, keyed by packed key
-    ``a | b << n``, of which there are ``strings``: the one place that
-    picks the search.  At p = infinity ``size`` may hold only the largest
-    magnitudes."""
+    ascending packed keys ``a | b << n`` of the non-zero moments and
+    their aligned ``magnitudes``: the one place that picks the search."""
     low = (1 << n) - 1
 
     def order(k: int) -> tuple[int, int]:  # table.strings() order
@@ -351,19 +338,20 @@ def _uncertainty(n: int, p: float, size: dict[int, float], strings: int) -> _Unc
 
     sets = None
     if p == math.inf:
-        mode, worst_sum = "max", max(size.values(), default=0.0)
-        members = [min([k for k, m in size.items() if m == worst_sum], key=order)] if size else []
+        mode, worst_sum = "max", max(magnitudes, default=0.0)
+        members = [min((k for k, m in zip(keys, magnitudes) if m == worst_sum), key=order)] if keys else []
     elif n <= MAX_COMMUTING_SYSTEMS:
-        mode, keys = "exhaustive", sorted(size)
+        mode = "exhaustive"
         try:
-            weight = {k: m**p for k, m in size.items()}
+            weights = [m**p for m in magnitudes]
         except OverflowError:  # a power past the float range reads inf, and fails
             with np.errstate(over="ignore"):
-                weight = dict(zip(size, np.power(list(size.values()), p).tolist()))
-        worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weight)
+                weights = np.power(magnitudes, p).tolist()
+        worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weights)
         members.sort(key=order)
     else:
         mode, families = "canonical", _canonical_families(n)
+        size = dict(zip(keys, magnitudes))
         worst_sum, members, sets = 0.0, [], len(families)
         for family in families:
             try:
@@ -376,7 +364,7 @@ def _uncertainty(n: int, p: float, size: dict[int, float], strings: int) -> _Unc
         worst = tuple(map(_basis_texts(n).__getitem__, members))
     else:
         worst = tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in members)
-    detail = [("p", "inf" if p == math.inf else p), ("mode", mode), ("sets", sets), ("strings", strings)]
+    detail = [("p", "inf" if p == math.inf else p), ("mode", mode), ("sets", sets), ("strings", len(keys))]
     return 1.0 - worst_sum, worst, tuple(item for item in detail if item[1] is not None)
 
 
@@ -420,12 +408,13 @@ def check_psd(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     is that eigenvalue.
 
     Raises:
-        DomainError: non-square or non-Hermitian input.
+        DomainError: non-square, empty, non-finite or non-Hermitian input.
     """
-    m = np.asarray(matrix)
-    m = m.astype(complex if np.iscomplexobj(m) else float)
+    m = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if not m.size or not np.isfinite(m).all():
+        raise DomainError("expected a non-empty matrix of finite entries")
     scale = max(1.0, float(np.abs(m).max()))
     if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
         raise DomainError("matrix is not Hermitian")
@@ -715,17 +704,18 @@ def classify_state(
     give and is named in ``stopped``.
     """
     table = _moment_table(state)
-    density = lambda: replace(check_psd(_density_matrix(table), tol=tol), constraint="density-psd")
-    rungs = (
-        ("p-uncertainty", lambda: check_p_uncertainty(table, p, tol=tol)),
-        ("local-moments", lambda: check_local_moments(table, tol=tol)),
-        ("commuting-moments", lambda: check_commuting_moments(table, tol=tol)),
-        ("density-psd", density),
-    )
     reports: list[ValidationReport] = []
-    for level, (name, check) in zip(LEVELS, rungs):
+    for level, name in zip(LEVELS, _RUNGS):
         try:
-            report = check()
+            if name == "p-uncertainty":
+                report = check_p_uncertainty(table, p, tol)
+            elif name == "local-moments":
+                report = check_local_moments(table, tol)
+            elif name == "commuting-moments":
+                report = check_commuting_moments(table, tol)
+            else:  # the density matrix is Hermitian and finite by construction
+                smallest = float(np.linalg.eigvalsh(_density_matrix(table))[0])
+                report = ValidationReport(name, smallest >= -tol, smallest, (), {"dim": 1 << table.n})
         except ResourceError as exc:
             return ClassificationResult(level, tuple(reports), (name, str(exc)))
         reports.append(report)

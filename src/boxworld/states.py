@@ -138,6 +138,12 @@ def all_settings(n: int) -> tuple[FiducialSetting, ...]:
     )
 
 
+@lru_cache(maxsize=16)
+def _setting_keys(n: int) -> tuple[tuple[int, int], ...]:
+    """Every setting's exponent masks ``(a, b)``, in :func:`all_settings` order."""
+    return tuple(digit_masks(setting.labels) for setting in all_settings(n))
+
+
 @contextmanager
 def _reading_json() -> Iterator[None]:
     """Report a missing key or a malformed value in state JSON as a
@@ -231,12 +237,12 @@ class MomentTable:
         if self._vector is None:
             import numpy as np
 
-            out = np.full(1 << 2 * self._n, np.nan if self._strict else 0.0)
+            out = [math.nan if self._strict else 0.0] * (1 << 2 * self._n)
             out[0] = 1.0
             for (a, b), value in self._values.items():
                 out[a | b << self._n] = value
-            out.flags.writeable = False
-            self._vector = out
+            self._vector = np.array(out, dtype=float)
+            self._vector.flags.writeable = False
         return self._vector
 
 
@@ -579,7 +585,8 @@ class GnstState:
             return 0.0 if chosen else 1.0
         import numpy as np
 
-        row = _characters(1 << self._n)[_column(self._n, chosen)]
+        column = _column(self._n, chosen)  # its row of _characters(2**n) alone
+        row = [-1.0 if (column & k).bit_count() & 1 else 1.0 for k in range(1 << self._n)]
         return float(np.dot(self.probabilities(setting), row))
 
     def setting_moment(self, setting: FiducialSetting) -> float:
@@ -797,8 +804,7 @@ def moments_from_probabilities(state: GnstState, tol: float = DEFAULT_TOL) -> Mo
     """
     n = state.n
     if state.is_compact:
-        keys = (digit_masks(setting.labels) for setting in all_settings(n))
-        values = {key: sign * state.lam for key, sign in zip(keys, state.signs)}
+        values = {key: sign * state.lam for key, sign in zip(_setting_keys(n), state.signs)}
         return MomentTable(n, values, strict=False)
     import numpy as np
 

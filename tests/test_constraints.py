@@ -244,6 +244,20 @@ class TestPsd:
         with pytest.raises(DomainError):
             check_psd(np.array([[1.0, 0.5j], [0.5j, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[math.nan, 0.0], [0.0, 1.0]],  # LAPACK reads this as [0, -0]
+            [[1.0, math.inf], [math.inf, 1.0]],
+            [[1.0, complex(0.0, math.nan)], [0.0, 1.0]],
+            np.zeros((0, 0)),
+        ],
+        ids=["nan", "inf", "complex-nan", "empty"],
+    )
+    def test_refuses_non_finite_and_empty_input(self, matrix):
+        with pytest.raises(DomainError, match="finite|non-empty"):
+            check_psd(matrix)
+
 
 class TestLocalAndCommuting:
     def test_pr_box_satisfies_local(self):
@@ -546,7 +560,9 @@ class TestCliqueSearch:
                     grow([*members, k], rest, total + weight[k])
 
             grow([], keys, 0.0)
-            total, members, _ = constraints._heaviest_anticommuting_set(n, keys, weight)
+            keys.sort()
+            weights = [weight[k] for k in keys]
+            total, members, _ = constraints._heaviest_anticommuting_set(n, keys, weights)
             assert abs(total - best) <= 1e-12
             assert sorted(members) == sorted(best_members)
 
@@ -660,8 +676,8 @@ def test_max_names_the_first_largest_moment(n):
 
 
 class TestStoredMoments:
-    """Above four systems the uncertainty rung reads only the stored
-    moments, never the 4**n moment vector."""
+    """The uncertainty rung reads only the stored moments, never the
+    4**n moment vector."""
 
     @pytest.mark.parametrize(
         "n,p,margin,worst,sets,strings",
@@ -693,6 +709,21 @@ class TestStoredMoments:
             "worst_set": ["+1 " + text for text in worst.split()],
             "detail": detail,
         }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_small_systems_read_no_vector(self, n, rng, monkeypatch):
+        """Up to four systems too, through the profile cache."""
+
+        def refuse(self):
+            raise AssertionError("the rung read the moment vector")
+
+        corpus = [*ladder_families(n, rng), *dropped_setting_tables(n, rng)]
+        tables = [constraints._moment_table(state) for state in corpus]
+        monkeypatch.setattr(MomentTable, "vector", refuse)
+        for table in tables:
+            for p in (1.5, 2.0, 3.0, math.inf):
+                report = check_p_uncertainty(table, p)
+                assert report.detail["strings"] == sum(1 for m in table._values.values() if m)
 
 
 class TestLadderPaths:
@@ -801,7 +832,8 @@ class TestLadderPaths:
         result = classify_state(state, math.inf)
         assert len(result.reports) == 4
         assert len(builds) == 1
-        assert len(reads) == 4 and all(read is reads[0] for read in reads)
+        # The uncertainty rung reads the stored moments; the other three the vector.
+        assert len(reads) == 3 and all(read is reads[0] for read in reads)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reports_match_single_rungs(self, n, rng):

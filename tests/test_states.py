@@ -41,8 +41,11 @@ from boxworld.states import (
     pr_box_state,
     probabilities_from_moments,
     tensor_product,
+    _characters,
+    _column,
     _marginals,
     _reading_json,
+    _setting_keys,
 )
 
 
@@ -340,6 +343,25 @@ class TestGnstState:
             with pytest.raises(DimensionError):
                 state.subset_moment(FiducialSetting((1, 2)), systems)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_subset_moment_reads_one_transform_row(self, n, rng):
+        """Each subset moment equals the dot product with its row of the
+        full character matrix, to the last bit."""
+        settings = [all_settings(n)[i] for i in rng.choice(3**n, size=min(3**n, 3), replace=False)]
+        table = {}
+        for setting in settings:
+            probs = rng.random(1 << n)
+            table[setting.labels] = (probs / probs.sum()).tolist()
+        state = GnstState.from_table(n, table, check=False)
+        characters = _characters(1 << n)
+        for setting in settings:
+            probs = state.probabilities(setting)
+            for column in range(1 << n):
+                chosen = [i for i in range(n) if column >> n - 1 - i & 1]
+                assert _column(n, chosen) == column
+                expected = float(np.dot(probs, characters[column]))
+                assert state.subset_moment(setting, chosen) == expected
+
     def test_subset_moment_rejects_foreign_settings(self):
         for n, labels in ((2, (3, 3, 3)), (3, (3, 3))):
             state = GnstState.compact(n, 0.25, tuple([1] * 3**n))
@@ -560,6 +582,14 @@ class TestMomentTable:
                 vector[1] = 0.0
             assert vector[1] == 0.5
 
+    def test_vector_converts_every_value_to_float64(self):
+        table = MomentTable(1, {(1, 0): 1, (0, 1): np.float32(0.5), (1, 1): -(10**20)}, strict=False)
+        vector = table.vector()
+        assert vector.dtype == np.float64
+        assert vector.tolist() == [1.0, 1.0, 0.5, -1e20]
+        strict = MomentTable(2, {(3, 1): True})
+        assert np.array_equal(strict.vector(), [1.0] + [np.nan] * 6 + [1.0] + [np.nan] * 8, equal_nan=True)
+
     def test_vector_sees_the_coefficients_after_construction(self):
         """Zeros are dropped after the table is set up, so the vector is
         built on first use, not during construction."""
@@ -728,6 +758,11 @@ class TestMomentTransform:
                         assert abs(table.value(string) - expected) <= 1e-15
                         assert abs(state.subset_moment(setting, subset) - expected) <= 1e-15
             assert set(table.keys()) == keys
+
+    def test_compact_keys_are_kept_per_n(self):
+        assert _setting_keys(3) is _setting_keys(3)
+        assert _setting_keys(2) == tuple(digit_masks(s.labels) for s in all_settings(2))
+        assert 0 < _setting_keys.cache_info().maxsize <= 16
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_compact_keys_are_setting_strings(self, n, rng):
