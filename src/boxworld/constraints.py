@@ -26,11 +26,13 @@ subspaces (:func:`~boxworld.pauli.lagrangian_rows`), and both plans are
 built from rows of packed exponents, without Pauli string objects.
 
 Only the rungs above the uncertainty rung read the 4**n moment vector,
-which :meth:`MomentTable.vector` builds once per table.  The rest of a
+which :meth:`MomentTable.vector` builds once per table, and only they
+load numpy: the uncertainty rung is plain Python, so importing this
+module and checking the uncertainty relation load none.  The rest of a
 rung's setup is kept per n: the plans, the text of every basis string
-(for worst sets), the anti-commutation table the clique search gathers
-from, and the density rung's phases, characters and gather index, each
-in an ``lru_cache`` whose ``maxsize`` is the rung's system limit.
+(for worst sets), and the density rung's phases, characters and gather
+index, each in an ``lru_cache`` whose ``maxsize`` is the rung's system
+limit.
 
 Only a strict table can leave a moment unknown: its vector reads NaN
 there, while a lenient table's reads 0, and every table refuses
@@ -48,11 +50,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DomainError, ResourceError, validate_exponent
 from .pauli import (
@@ -77,6 +78,9 @@ from .states import (
     conjugate_pauli,
     moments_from_probabilities,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ValidationReport",
@@ -198,22 +202,33 @@ def _basis_texts(n: int) -> tuple[str, ...]:
     return tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in range(1 << 2 * n))
 
 
-@lru_cache(maxsize=MAX_COMMUTING_SYSTEMS)
-def _anticommutation(n: int) -> np.ndarray:
-    """Entry (j, k) is True iff the strings with packed keys j and k
-    anti-commute: the parity of |a_j & b_k| + |b_j & a_k|."""
-    keys = np.arange(1 << 2 * n, dtype=np.min_scalar_type((1 << 2 * n) - 1))  # uint8 up to n = 4
-    a, b = keys & (1 << n) - 1, keys >> n
-    odd = (a[:, None] & b) ^ (b[:, None] & a)
-    # Fold the parity of the n bits into bit 0: shifts 2, 1 up to n = 4,
-    # then 4, 2, 1 up to n = 8, and so on.
-    shift = 1 << max(1, (n - 1).bit_length() - 1)
-    while shift:
-        odd ^= odd >> shift
-        shift >>= 1
-    table = (odd & 1).astype(bool)
-    table.flags.writeable = False
-    return table
+# Per bit s of a byte, the byte map to b"1" where bit s is set, else b"0":
+# runs of 2**s zeros and 2**s ones.
+_BIT_DIGITS = tuple((b"0" * (1 << s) + b"1" * (1 << s)) * (128 >> s) for s in range(8))
+
+
+def _anticommuting_masks(n: int, keys: Sequence[int]) -> list[int]:
+    """Bit j of entry i is set iff the strings with packed keys
+    ``keys[i]`` and ``keys[j]`` (``a | b << n``) anti-commute: the parity
+    of |a_i & b_j| + |b_i & a_j|.
+
+    Each of the 2n key bits becomes one mask over the keys, read by a
+    ``bytes.translate`` of the keys' bytes (ceil(2n / 8) per key).  Entry
+    i is then ``from_a[a_i] ^ from_b[b_i]``: the XOR of the b-bit masks
+    over the bits set in a_i, and of the a-bit masks over those in b_i.
+    """
+    if not keys:
+        return []
+    width = (2 * n + 7) // 8
+    data = bytes(keys) if width == 1 else b"".join(k.to_bytes(width, "little") for k in keys)
+    # Key i's digit lands at position i from the right, so it is bit i.
+    bits = [int(data[t // 8 :: width].translate(_BIT_DIGITS[t % 8])[::-1], 2) for t in range(2 * n)]
+    from_a, from_b = [0], [0]
+    for q in range(n):  # the entries with bit q set follow those without
+        from_a += [m ^ bits[n + q] for m in from_a]
+        from_b += [m ^ bits[q] for m in from_b]
+    low = (1 << n) - 1
+    return [from_a[k & low] ^ from_b[k >> n] for k in keys]
 
 
 def _heaviest_anticommuting_set(
@@ -231,17 +246,14 @@ def _heaviest_anticommuting_set(
     2n + 1 strings pairwise anti-commute, so a branch is pruned once its
     weight plus its 2n + 1 - |clique| heaviest candidates cannot beat the
     best set found.  Every path adds weights heaviest first, as the bound
-    does, so the pruning is exact in floating point.
+    does, so the pruning is exact in floating point.  Each vertex's
+    neighbours are one Python int from :func:`_anticommuting_masks`, read
+    off the symplectic form of the keys.
     """
     order = sorted(range(len(keys)), key=weights.__getitem__, reverse=True)
     keys = [keys[i] for i in order]
     w = [weights[i] for i in order]
-    packed = np.array(keys, dtype=np.intp)
-    # The np.ix_(packed, packed) block, taken one axis at a time (faster).
-    odd = _anticommutation(n).take(packed, axis=0).take(packed, axis=1)
-    rows = np.packbits(odd, axis=1, bitorder="little")
-    data, width = rows.tobytes(), rows.shape[1]
-    adj = [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(keys))]
+    adj = _anticommuting_masks(n, keys)
     best, best_mask, examined = 0.0, 0, 0
 
     def extend(total: float, mask: int, candidates: int, room: int) -> None:
@@ -291,10 +303,12 @@ def check_p_uncertainty(
 
     At every n the rung reads one input: the table's stored non-zero
     moments as pairs ``(a | b << n, |m|)`` in ascending key order, never
-    the signs and never the 4**n moment vector.  Up to four systems a
-    list of pairs seen before at the same n and p is answered from a
-    bounded cache (256 profiles keyed by at most 2.3 KB each, about
-    0.8 MB when full); above four nothing is cached.  Each call builds
+    the signs and never the 4**n moment vector, and the rung is plain
+    Python: it loads no numpy.  Up to four systems a list of pairs seen
+    before at the same n and p is answered from a bounded cache (256
+    profiles keyed by one byte per key and the magnitudes' float64
+    bytes, at most 2.3 KB each, about 0.8 MB when full); above four
+    nothing is cached.  Each call builds
     its own report, so ``passed`` follows ``tol`` and ``detail`` is a
     fresh dict.  ``sets`` counts the sets the search examined for that
     profile, also when the answer came from the cache.
@@ -312,7 +326,7 @@ def check_p_uncertainty(
     if n > MAX_COMMUTING_SYSTEMS:
         margin, worst, detail = _uncertainty(n, p, keys, magnitudes)
     else:  # keys below 4**4 = 256 fit in one byte each
-        margin, worst, detail = _uncertainty_profile(n, p, bytes(keys), np.array(magnitudes).tobytes())
+        margin, worst, detail = _uncertainty_profile(n, p, bytes(keys), array("d", magnitudes).tobytes())
     return ValidationReport("p-uncertainty", margin >= -tol, margin, worst, dict(detail))
 
 
@@ -324,7 +338,16 @@ _Uncertainty = tuple[float, tuple[str, ...], tuple[tuple[str, object], ...]]
 def _uncertainty_profile(n: int, p: float, keys: bytes, magnitudes: bytes) -> _Uncertainty:
     """:func:`_uncertainty` on one byte per packed key and the aligned
     magnitudes as float64 bytes, up to four systems."""
-    return _uncertainty(n, p, list(keys), np.frombuffer(magnitudes).tolist())
+    return _uncertainty(n, p, list(keys), array("d", magnitudes).tolist())
+
+
+def _power(m: float, p: float) -> float:
+    """``m ** p``, or inf where the power leaves the float range, so a
+    power sum that holds it fails."""
+    try:
+        return m**p
+    except OverflowError:
+        return math.inf
 
 
 def _uncertainty(n: int, p: float, keys: Sequence[int], magnitudes: Sequence[float]) -> _Uncertainty:
@@ -342,11 +365,7 @@ def _uncertainty(n: int, p: float, keys: Sequence[int], magnitudes: Sequence[flo
         members = [min((k for k, m in zip(keys, magnitudes) if m == worst_sum), key=order)] if keys else []
     elif n <= MAX_COMMUTING_SYSTEMS:
         mode = "exhaustive"
-        try:
-            weights = [m**p for m in magnitudes]
-        except OverflowError:  # a power past the float range reads inf, and fails
-            with np.errstate(over="ignore"):
-                weights = np.power(magnitudes, p).tolist()
+        weights = [_power(m, p) for m in magnitudes]
         worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weights)
         members.sort(key=order)
     else:
@@ -354,10 +373,7 @@ def _uncertainty(n: int, p: float, keys: Sequence[int], magnitudes: Sequence[flo
         size = dict(zip(keys, magnitudes))
         worst_sum, members, sets = 0.0, [], len(families)
         for family in families:
-            try:
-                total = sum(size[k] ** p for k in family if k in size)
-            except OverflowError:  # a power past the float range: the sum is inf
-                total = math.inf
+            total = sum(_power(size[k], p) for k in family if k in size)
             if total > worst_sum:
                 worst_sum, members = total, family
     if n <= MAX_COMMUTING_SYSTEMS:  # every key's text is kept per n
@@ -390,6 +406,8 @@ def moment_matrix(
         DomainError: if the collection and state system counts differ.
         IncompleteMomentError: if the state does not determine a needed moment.
     """
+    import numpy as np
+
     table = _moment_table(state)
     if collection and collection[0].n != table.n:
         raise DomainError("collection and state system counts differ")
@@ -410,6 +428,8 @@ def check_psd(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     Raises:
         DomainError: non-square, empty, non-finite or non-Hermitian input.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
@@ -473,6 +493,8 @@ def _group(generators: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     phase_e + |a_g & b_g| + 2 |b_e & a_g|, kept mod 4; its sign is that
     phase relative to |a & b| of the product.
     """
+    import numpy as np
+
     ones = np.array([j.bit_count() for j in range(1 << n)], dtype=np.int8)
     weight = lambda k: ones[k & k >> n & (1 << n) - 1]
     rows, m = generators.shape
@@ -508,6 +530,8 @@ def _plan(
     """The plan of collections given as rows of packed keys, each with
     the members that generate it; rows with as many generators generate
     groups of one size."""
+    import numpy as np
+
     by_count: dict[int, list[int]] = {}
     for row, gens in enumerate(generators):
         by_count.setdefault(len(gens), []).append(row)
@@ -544,6 +568,8 @@ def _positivity_report(
     is read whole.  The first collection reaching the minimum names the
     report's worst set.
     """
+    import numpy as np
+
     vec, strict = table.vector(), table.strict  # only strict tables have NaN moments
     smallest = np.full(len(plan.named), np.nan if strict else np.inf)
     for rows, idx, signs, characters in plan.groups:
@@ -636,6 +662,8 @@ def _density_matrix(table: MomentTable) -> np.ndarray:
     order; the spectrum does not depend on the order.  Unknown (NaN)
     moments, which only a strict table has, count as zero.
     """
+    import numpy as np
+
     dim = 1 << table.n
     phases, characters, gather = _density_tables(table.n)
     vec = np.nan_to_num(table.vector()) if table.strict else table.vector()
@@ -649,6 +677,8 @@ def _density_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, n
     """The phases i**|a & b| (rows a, columns b), the characters of
     Z_2^n and the index of entry (j xor a, j) that :func:`_density_matrix`
     reads at n systems."""
+    import numpy as np
+
     dim = 1 << n
     idx = np.arange(dim)
     weight = np.array([j.bit_count() for j in range(dim)])[idx[:, None] & idx]
@@ -714,6 +744,8 @@ def classify_state(
             elif name == "commuting-moments":
                 report = check_commuting_moments(table, tol)
             else:  # the density matrix is Hermitian and finite by construction
+                import numpy as np
+
                 smallest = float(np.linalg.eigvalsh(_density_matrix(table))[0])
                 report = ValidationReport(name, smallest >= -tol, smallest, (), {"dim": 1 << table.n})
         except ResourceError as exc:
@@ -732,6 +764,8 @@ def classify_state(
 def two_measurement_moment_matrix(a: float, b: float, c: float) -> np.ndarray:
     """Moment matrix of two commuting strings with moments a, b and
     product moment c, indexed (identity, first, second, product)."""
+    import numpy as np
+
     return np.array(
         [
             [1.0, a, b, c],
@@ -811,6 +845,8 @@ def validate_gnst(state: GnstState, tol: float = DEFAULT_TOL) -> ValidationRepor
     Reports instead of raising, so tables built with ``check=False``
     can be diagnosed.
     """
+    import numpy as np
+
     n = state.n
     settings = state.settings()
 

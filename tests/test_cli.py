@@ -541,8 +541,7 @@ class TestImportIsLazy:
             "caches = [pauli.lagrangian_rows, pauli.maximal_commuting_sets,\n"
             "          constraints._local_plan, constraints._commuting_plan,\n"
             "          constraints._canonical_families, constraints._basis_texts,\n"
-            "          constraints._anticommutation, constraints._density_tables,\n"
-            "          constraints._uncertainty_profile]\n"
+            "          constraints._density_tables, constraints._uncertainty_profile]\n"
             "print(json.dumps([c.cache_info()._asdict() for c in caches]))\n"
         )
         src = str(Path(boxworld.__file__).resolve().parents[1])
@@ -555,7 +554,7 @@ class TestImportIsLazy:
             env={**os.environ, "PYTHONPATH": path},
         )
         infos = json.loads(out.stdout)
-        assert len(infos) == 9
+        assert len(infos) == 8
         for info in infos:
             assert info["currsize"] == 0
             assert info["maxsize"] is not None and info["maxsize"] > 0
@@ -649,3 +648,14 @@ def test_seeded_outputs_are_pinned(runner, args, expected):
     result = invoke(runner, *args)
     assert result.exit_code == 0
     assert result.stdout == expected
+
+
+# The exact stdout of ``boxworld table`` at each exponent.
+TABLE_STDOUT = json.loads((Path(__file__).parent / "data" / "table_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("p", TABLE_STDOUT)
+def test_table_output_is_pinned(runner, p):
+    result = invoke(runner, "table", "--p", p)
+    assert result.exit_code == 0
+    assert result.stdout == TABLE_STDOUT[p]

@@ -541,8 +541,8 @@ class TestCliqueSearch:
             self.assert_matches_maximal_sets(state, (1.5, 2.0, 3.0))
 
     def test_five_system_alphabets_match_subset_search(self, rng):
-        """Packed keys reach 1023 at n = 5, and the parity fold must see
-        the fifth system's bit."""
+        """Packed keys reach 1023 at n = 5, two bytes each, and the
+        adjacency must see the fifth system's bits."""
         n = 5
         for size in (12, 13, 14, 15, 16):
             keys = [int(k) for k in rng.choice(np.arange(1, 4**n), size=size, replace=False)]
@@ -565,6 +565,21 @@ class TestCliqueSearch:
             total, members, _ = constraints._heaviest_anticommuting_set(n, keys, weights)
             assert abs(total - best) <= 1e-12
             assert sorted(members) == sorted(best_members)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_adjacency_matches_commutes(self, n, rng):
+        """Keys take two bytes from n = 5 on; every bit of every row is
+        checked against :func:`~boxworld.pauli.commutes`."""
+        low = (1 << n) - 1
+        for size in (1, 2, 4, min(4**n, 40)):
+            keys = [int(k) for k in rng.choice(np.arange(4**n), size=size, replace=False)]
+            strings = [PauliString.hermitian(n, k & low, k >> n) for k in keys]
+            rows = constraints._anticommuting_masks(n, keys)
+            expected = [sum(1 << j for j, t in enumerate(strings) if not commutes(s, t)) for s in strings]
+            assert rows == expected
+
+    def test_adjacency_of_no_keys(self):
+        assert constraints._anticommuting_masks(3, []) == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_margin_is_the_python_power_sum_heaviest_first(self, n, rng):

@@ -89,8 +89,9 @@ def test_production_never_imports_the_oracle(name):
 
 
 # Modules whose import must not load numpy: the combinatorial commands
-# (CHSH, the table codes, the protocols at p = inf) need no linear algebra.
-NUMPY_FREE = ("errors", "pauli", "states", "rac", "games", "infotasks", "cli")
+# (CHSH, the table codes, the protocols at p = inf, the summary table's
+# uncertainty check) need no linear algebra.
+NUMPY_FREE = ("errors", "pauli", "states", "rac", "games", "infotasks", "constraints", "cli")
 
 
 @pytest.mark.parametrize("name", NUMPY_FREE)
@@ -127,6 +128,7 @@ NUMPY_FREE_COMMANDS = {
         ["learn", "--budget", "100", "--p", "2", "--gamma", "0.1", "--epsilon", "0.1",
          "--delta", "0.1"],
     ],
+    "table": [["table", "--p", p] for p in ("1.5", "2", "3", "inf")],
 }
 
 
@@ -171,6 +173,9 @@ def test_numpy_free_exports_load_no_numpy():
     code = (
         "import sys, boxworld\n"
         "boxworld.validate_exponent, boxworld.maximal_commuting_sets\n"
+        "boxworld.check_p_uncertainty(boxworld.chsh_optimal_state(2.0), 2.0)\n"
+        "code = boxworld.rac_encode_pgnst([0, 1, 1] * 9, 3, 2.0)\n"
+        "boxworld.check_p_uncertainty(code, 2.0)\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run(
