@@ -4,10 +4,22 @@ Commands emit machine-readable JSON (or CSV where tabular), are
 deterministic for a fixed seed, and follow one exit convention:
 0 success, 1 a check that ran and failed, 2 usage error.  The token
 ``inf`` is accepted anywhere an exponent is.
+
+The parser is the standard library's ``argparse``: ``boxworld -h``
+lists the commands and ``boxworld <command> -h`` a command's flags.
+Every usage error (a bad or missing value, an unknown option or
+command, or a library precondition a command's input fails) prints the
+usage line and ``Error: <message>`` on stderr and exits 2, through
+``_Parser.error``.  Each command imports the modules it runs inside its
+function, so a command loads only what it needs: ``chsh``, ``xor`` and
+``table`` never load ``rac``, and theory names are checked only by
+``rac.rac_params``.  ``main(argv)`` returns the exit code; the console
+script, ``python -m boxworld.cli`` and ``run_named`` all call it.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import math
@@ -17,9 +29,7 @@ import sys
 from pathlib import Path
 from typing import Mapping
 
-import click
-
-from . import rac as rac_mod, states
+from . import states
 from .errors import BoxworldError, DomainError, ResourceError, validate_exponent
 
 __all__ = [
@@ -35,34 +45,41 @@ DEFAULT_PSPHERE_P = (1.0, 2.0, 3.0, 10.0, 10000.0)
 TABLE_COLUMNS = ("p-bin", "p-gnst/p-box", "p-nonlocal", "quantum", "classical")
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("BOXWORLD_SEED", "").strip()
-    if not raw:
-        return 0
+def _exponent(text: str) -> float:
+    """Real exponent, with ``inf`` as the infinity token; the library
+    checks p >= 1."""
+    token = text.strip().lower()
+    if token in ("inf", "infinity", "oo"):
+        return math.inf
     try:
-        return int(raw)
+        return float(token)
     except ValueError:
-        raise DomainError(f"BOXWORLD_SEED must be an integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number or 'inf'") from None
 
 
-class ExponentType(click.ParamType):
-    """Real exponent >= 1, with ``inf`` as the infinity token."""
+def _exponents(text: str) -> tuple[float, ...]:
+    return tuple(_exponent(token) for token in text.split(","))
 
-    name = "exponent"
 
-    def convert(self, value, param, ctx):
-        if isinstance(value, (int, float)):
-            return float(value)
-        text = str(value).strip().lower()
-        if text in ("inf", "infinity", "oo"):
-            return math.inf
+def _at_least(minimum: int):
+    """An integer type that refuses values below ``minimum``."""
+
+    def parse(text: str) -> int:
         try:
-            return float(text)
+            value = int(text)
         except ValueError:
-            self.fail(f"{value!r} is not a number or 'inf'", param, ctx)
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={minimum}")
+        return value
+
+    return parse
 
 
-EXPONENT = ExponentType()
+def _new_file(text: str) -> str:
+    if Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
 
 
 def _p_token(p: float) -> object:
@@ -70,7 +87,7 @@ def _p_token(p: float) -> object:
 
 
 def _emit_json(payload: object) -> None:
-    click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _flatten(payload: object, prefix: str = "") -> list[tuple[str, object]]:
@@ -106,112 +123,61 @@ def _emit_csv(header: tuple[str, ...], rows: list[tuple]) -> None:
             else:
                 cells.append(str(cell))
         out.write(",".join(cells) + "\n")
-    click.echo(out.getvalue(), nl=False)
+    sys.stdout.write(out.getvalue())
 
 
 def _load_state(path: str):
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        raise DomainError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"{path} is not valid JSON: {exc}")
+        raise DomainError(f"{path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise click.UsageError(f"{path} does not hold a JSON object")
+        raise DomainError(f"{path} does not hold a JSON object")
     kind = data.get("kind")
     if kind == "coeff":
         return states.CoefficientState.from_json_dict(data)
     if kind in ("gnst", "gnst-table"):
         return states.GnstState.from_json_dict(data)
-    raise click.UsageError(f"unrecognized state kind {kind!r} in {path}")
+    raise DomainError(f"unrecognized state kind {kind!r} in {path}")
 
 
 def _parse_bits(text: str) -> list[int]:
     cleaned = text.replace(" ", "").replace(",", "")
     if not cleaned or any(c not in "01" for c in cleaned):
-        raise click.UsageError(f"expected a 0/1 string, got {text!r}")
+        raise DomainError(f"expected a 0/1 string, got {text!r}")
     return [int(c) for c in cleaned]
 
 
 # ---------------------------------------------------------------------------
-# command group
+# commands: each takes the parsed arguments and returns its exit code
 # ---------------------------------------------------------------------------
 
 
-class _Group(click.Group):
-    """Maps library precondition failures onto usage-error exits."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BoxworldError as exc:
-            raise click.UsageError(str(exc)) from exc
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Power-constrained box-world toolkit."""
-
-
-_p_option = click.option(
-    "--p", "p", type=EXPONENT, default="inf", show_default=True, help="power exponent, 'inf' allowed"
-)
-_seed_option = click.option(
-    "--seed",
-    type=click.IntRange(min=0),
-    default=_env_seed,
-    help="RNG seed (default BOXWORLD_SEED or 0)",
-)
-_tol_option = click.option("--tol", type=float, default=states.DEFAULT_TOL, show_default=True)
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
-)
-
-
-@main.command()
-@_p_option
-@_tol_option
-@_format_option
-def chsh(p: float, tol: float, fmt: str) -> None:
+def _chsh(a) -> int:
     """Optimal CHSH win probability at exponent p, cross-checked."""
     from . import games
 
-    value = games.chsh_win_probability(p)
-    state = games.chsh_optimal_state(p)
+    value = games.chsh_win_probability(a.p)
+    state = games.chsh_optimal_state(a.p)
     correlator = games.chsh_value(state)
     from_state = 0.5 + correlator / 8.0
-    consistent = abs(from_state - value) <= tol
+    consistent = abs(from_state - value) <= a.tol
     _emit(
         {
-            "p": _p_token(p),
+            "p": _p_token(a.p),
             "win_probability": value,
             "chsh_correlator": correlator,
             "win_from_state": from_state,
             "consistent": consistent,
         },
-        fmt,
+        a.fmt,
     )
-    if not consistent:
-        sys.exit(1)
+    return 0 if consistent else 1
 
 
-@main.command()
-@_p_option
-@_seed_option
-@_tol_option
-@click.option("--s-count", type=int, default=2, show_default=True)
-@click.option("--t-count", type=int, default=2, show_default=True)
-@click.option(
-    "--game",
-    "game_kind",
-    type=click.Choice(["chsh", "random"]),
-    default="chsh",
-    show_default=True,
-)
-@_format_option
-def xor(
-    p: float, seed: int, tol: float, s_count: int, t_count: int, game_kind: str, fmt: str
-) -> None:
+def _xor(a) -> int:
     """Build the ladder strategy for an XOR game and score it.
 
     It wins every question pair with probability 1/2 + q**(-1/p)/2, q
@@ -219,45 +185,33 @@ def xor(
     """
     from . import games
 
-    if game_kind == "chsh":
+    if a.game == "chsh":
         game = games.chsh_game()
     else:
-        game = games.random_xor_game(s_count, t_count, seed)
-    state, strategy = games.build_xor_game_state(game, p)
+        game = games.random_xor_game(a.s_count, a.t_count, a.seed)
+    state, strategy = games.build_xor_game_state(game, a.p)
     achieved = games.xor_game_value(game, strategy)
-    consistent = abs(achieved - strategy.win_probability) <= tol
+    consistent = abs(achieved - strategy.win_probability) <= a.tol
     _emit(
         {
             "game": game.to_json_dict(),
-            "p": _p_token(p),
+            "p": _p_token(a.p),
             "predicted_win": strategy.win_probability,
             "achieved_win": achieved,
             "consistent": consistent,
             "state_terms": len(state.keys()),
         },
-        fmt,
+        a.fmt,
     )
-    if not consistent:
-        sys.exit(1)
+    return 0 if consistent else 1
 
 
-# -- rac ---------------------------------------------------------------------
-
-
-@main.group()
-def rac() -> None:
-    """Random access codes: parameters, encoding, decoding, verification."""
-
-
-@rac.command("params")
-@click.option("--theory", type=click.Choice(rac_mod.THEORIES), default="p-gnst", show_default=True)
-@click.option("--n", type=int, required=True, help="carrier systems")
-@_p_option
-@_format_option
-def rac_params_cmd(theory: str, n: int, p: float, fmt: str) -> None:
+def _rac_params(a) -> int:
     """Code parameters plus the majority-boost figures."""
-    params = rac_mod.rac_params(theory, n, p)
-    copies, failure = rac_mod.rac_repetition_params(n, p)
+    from . import rac
+
+    params = rac.rac_params(a.theory, a.n, a.p)
+    copies, failure = rac.rac_repetition_params(a.n, a.p)
     _emit(
         {
             "theory": params.theory,
@@ -269,78 +223,65 @@ def rac_params_cmd(theory: str, n: int, p: float, fmt: str) -> None:
             "boost_copies_odd": copies % 2 == 1,
             "boost_failure_bound": failure,
         },
-        fmt,
+        a.fmt,
     )
+    return 0
 
 
-@rac.command("encode")
-@click.option("--theory", type=click.Choice(rac_mod.THEORIES), default="p-gnst", show_default=True)
-@click.option("--n", type=int, required=True)
-@_p_option
-@click.option("--bits", required=True, help="the bit string to encode, e.g. 0110")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def rac_encode_cmd(theory: str, n: int, p: float, bits: str, out_path: str | None) -> None:
+def _rac_encode(a) -> int:
     """Encode a bit string; JSON state to stdout or --out."""
-    rac_mod.rac_params(theory, n, p)  # rejects the gnst code at finite p
-    state = rac_mod.rac_encode(theory, _parse_bits(bits), n, p)
+    from . import rac
+
+    rac.rac_params(a.theory, a.n, a.p)  # rejects an unknown theory, and gnst at finite p
+    state = rac.rac_encode(a.theory, _parse_bits(a.bits), a.n, a.p)
     text = json.dumps(state.to_json_dict(), sort_keys=True, indent=2)
-    if out_path is None:
-        click.echo(text)
+    if a.out is None:
+        print(text)
     else:
-        Path(out_path).write_text(text + "\n")
-        click.echo(f"wrote {out_path}")
+        Path(a.out).write_text(text + "\n")
+        print(f"wrote {a.out}")
+    return 0
 
 
-@rac.command("decode")
-@click.option("--file", "path", type=click.Path(exists=False), required=True)
-@click.option("--index", "-j", type=int, required=True, help="1-based bit index")
-@_format_option
-def rac_decode_cmd(path: str, index: int, fmt: str) -> None:
+def _rac_decode(a) -> int:
     """Decode one bit from a stored state."""
-    state = _load_state(path)
-    bit, q = rac_mod.rac_decode(state, index)
-    _emit({"index": index, "bit": bit, "success_probability": q}, fmt)
+    from . import rac
+
+    bit, q = rac.rac_decode(_load_state(a.file), a.index)
+    _emit({"index": a.index, "bit": bit, "success_probability": q}, a.fmt)
+    return 0
 
 
-@rac.command("verify")
-@click.option("--theory", type=click.Choice(rac_mod.THEORIES), default="p-gnst", show_default=True)
-@click.option("--n", type=int, required=True)
-@_p_option
-@_seed_option
-@click.option("--trials", type=click.IntRange(min=1), default=DEFAULT_TRIALS, show_default=True)
-@click.option("--bits", default=None, help="bit string to test (default: seeded random)")
-@_tol_option
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="csv", show_default=True)
-def rac_verify_cmd(
-    theory: str, n: int, p: float, seed: int, trials: int, bits: str | None, tol: float, fmt: str
-) -> None:
+def _rac_verify(a) -> int:
     """Decode every index of one codeword, exactly and by sampling."""
     import numpy as np
 
-    params = rac_mod.rac_params(theory, n, p)
-    if bits is None:
-        draw = random.Random(seed)
+    from . import rac
+
+    params = rac.rac_params(a.theory, a.n, a.p)
+    if a.bits is None:
+        draw = random.Random(a.seed)
         encoded = [draw.randrange(2) for _ in range(params.encoded_bits)]
     else:
-        encoded = _parse_bits(bits)
-    state = rac_mod.rac_encode(theory, encoded, n, p)
-    rng = np.random.default_rng(seed)
+        encoded = _parse_bits(a.bits)
+    state = rac.rac_encode(a.theory, encoded, a.n, a.p)
+    rng = np.random.default_rng(a.seed)
     rows: list[tuple] = []
     failures = 0
     for j in range(1, params.encoded_bits + 1):
-        bit, exact_q = rac_mod.rac_decode(state, j)
-        empirical = int(rng.binomial(trials, exact_q)) / trials
-        rows.append((j, exact_q, empirical, trials))
-        if bit != encoded[j - 1] or abs(exact_q - params.recovery) > tol:
+        bit, exact_q = rac.rac_decode(state, j)
+        empirical = int(rng.binomial(a.trials, exact_q)) / a.trials
+        rows.append((j, exact_q, empirical, a.trials))
+        if bit != encoded[j - 1] or abs(exact_q - params.recovery) > a.tol:
             failures += 1
-    if fmt == "csv":
+    if a.fmt == "csv":
         _emit_csv(("index", "exact_q", "empirical_q", "trials"), rows)
     else:
         _emit_json(
             {
-                "theory": theory,
-                "n": n,
-                "p": _p_token(p),
+                "theory": a.theory,
+                "n": a.n,
+                "p": _p_token(a.p),
                 "failures": failures,
                 "records": [
                     {"index": r[0], "exact_q": r[1], "empirical_q": r[2], "trials": r[3]}
@@ -348,175 +289,119 @@ def rac_verify_cmd(
                 ],
             }
         )
-    if failures:
-        sys.exit(1)
+    return 1 if failures else 0
 
 
-@rac.command("boost")
-@click.option("--n", type=int, required=True)
-@_p_option
-@_seed_option
-@click.option("--trials", type=int, default=DEFAULT_TRIALS, show_default=True)
-@click.option("--index", "-j", type=int, default=1, show_default=True)
-@_format_option
-def rac_boost_cmd(n: int, p: float, seed: int, trials: int, index: int, fmt: str) -> None:
+def _rac_boost(a) -> int:
     """Monte Carlo failure rate of the majority-boosted code."""
-    copies, bound = rac_mod.rac_repetition_params(n, p)
-    encoded_bits = rac_mod.rac_params("p-gnst", n, p).encoded_bits
-    if n > rac_mod.MAX_BOOST_SYSTEMS:
-        raise ResourceError(f"boosted decoding is limited to n <= {rac_mod.MAX_BOOST_SYSTEMS}")
-    draw = random.Random(seed)
+    from . import rac
+
+    copies, bound = rac.rac_repetition_params(a.n, a.p)
+    encoded_bits = rac.rac_params("p-gnst", a.n, a.p).encoded_bits
+    if a.n > rac.MAX_BOOST_SYSTEMS:
+        raise ResourceError(f"boosted decoding is limited to n <= {rac.MAX_BOOST_SYSTEMS}")
+    draw = random.Random(a.seed)
     bits = [draw.randrange(2) for _ in range(encoded_bits)]
-    success = rac_mod.rac_repetition_decode(bits, n, p, index, trials=trials, seed=seed)
+    success = rac.rac_repetition_decode(bits, a.n, a.p, a.index, trials=a.trials, seed=a.seed)
     failure = 1.0 - success
     _emit(
         {
-            "n": n,
-            "p": _p_token(p),
+            "n": a.n,
+            "p": _p_token(a.p),
             "copies": copies,
             "failure_bound": bound,
             "empirical_failure": failure,
-            "trials": trials,
+            "trials": a.trials,
             "within_bound": failure <= bound,
         },
-        fmt,
+        a.fmt,
     )
+    return 0
 
 
-# -- communication tasks -----------------------------------------------------
-
-
-@main.group()
-def comm() -> None:
-    """One-way communication of the inner-product function."""
-
-
-@comm.command("cost")
-@click.option("--n", type=int, required=True, help="input bits per player")
-@_p_option
-@click.option("--theory", default="p-gnst", show_default=True)
-@_format_option
-def comm_cost_cmd(n: int, p: float, theory: str, fmt: str) -> None:
+def _comm_cost(a) -> int:
+    """Carriers for one-way inner-product communication."""
     from . import infotasks
 
-    result = infotasks.ip_oneway_cost(n, p, theory)
-    _emit(result.to_json_dict(), fmt)
+    _emit(infotasks.ip_oneway_cost(a.n, a.p, a.theory).to_json_dict(), a.fmt)
+    return 0
 
 
-@comm.command("ip")
-@click.option("--x", "x_bits", required=True)
-@click.option("--y", "y_bits", required=True)
-@_p_option
-@_seed_option
-@_format_option
-def comm_ip_cmd(x_bits: str, y_bits: str, p: float, seed: int, fmt: str) -> None:
+def _comm_ip(a) -> int:
     """Run the protocol on concrete inputs and check the answer."""
     from . import infotasks
 
-    x = _parse_bits(x_bits)
-    y = _parse_bits(y_bits)
-    decoded = infotasks.simulate_ip_protocol(x, y, p, seed)
+    x = _parse_bits(a.x)
+    y = _parse_bits(a.y)
+    decoded = infotasks.simulate_ip_protocol(x, y, a.p, a.seed)
     expected = infotasks.inner_product(x, y)
     _emit(
         {
             "x": "".join(map(str, x)),
             "y": "".join(map(str, y)),
-            "p": _p_token(p),
+            "p": _p_token(a.p),
             "decoded": decoded,
             "expected": expected,
             "match": decoded == expected,
         },
-        fmt,
+        a.fmt,
     )
-    if p == math.inf and decoded != expected:
-        sys.exit(1)
+    return 1 if a.p == math.inf and decoded != expected else 0
 
 
-@main.command()
-@click.option("--db", "db_bits", required=True, help="database bit string")
-@click.option("--index", "-i", type=int, required=True, help="1-based entry to fetch")
-@_p_option
-@_seed_option
-@_format_option
-def pir(db_bits: str, index: int, p: float, seed: int, fmt: str) -> None:
+def _pir(a) -> int:
     """Private retrieval: server ships one encoded database."""
     from . import infotasks
 
-    db = _parse_bits(db_bits)
-    bit, cost = infotasks.pir_simulate(db, index, p, seed)
-    expected = db[index - 1]
+    db = _parse_bits(a.db)
+    bit, cost = infotasks.pir_simulate(db, a.index, a.p, a.seed)
+    expected = db[a.index - 1]
     _emit(
         {
             "database_bits": len(db),
-            "index": index,
-            "p": _p_token(p),
+            "index": a.index,
+            "p": _p_token(a.p),
             "retrieved": bit,
             "expected": expected,
             "match": bit == expected,
             "carriers_sent": cost,
         },
-        fmt,
+        a.fmt,
     )
-    if p == math.inf and bit != expected:
-        sys.exit(1)
+    return 1 if a.p == math.inf and bit != expected else 0
 
 
-@main.command()
-@click.option("--budget", type=float, required=True, help="total bit budget")
-@_p_option
-@click.option("--gamma", type=float, required=True)
-@click.option("--epsilon", type=float, required=True)
-@click.option("--delta", type=float, required=True)
-@click.option("--eta", type=float, default=None)
-@_format_option
-def learn(
-    budget: float, p: float, gamma: float, epsilon: float, delta: float, eta: float | None, fmt: str
-) -> None:
+def _learn(a) -> int:
     """Sample-complexity lower bound for learning encoded states."""
     from . import infotasks
 
-    report = infotasks.learnability_threshold(budget, p, gamma, epsilon, delta, eta)
-    _emit(report.to_json_dict(), fmt)
+    report = infotasks.learnability_threshold(a.budget, a.p, a.gamma, a.epsilon, a.delta, a.eta)
+    _emit(report.to_json_dict(), a.fmt)
+    return 0
 
 
-@main.command()
-@click.option("--file", "path", required=True, help="state JSON file")
-@_p_option
-@_tol_option
-@_format_option
-def validate(path: str, p: float, tol: float, fmt: str) -> None:
+def _validate(a) -> int:
     """Classify a stored state in the validity hierarchy."""
     from . import constraints
 
-    state = _load_state(path)
-    result = constraints.classify_state(state, p, tol=tol)
+    state = _load_state(a.file)
+    result = constraints.classify_state(state, a.p, tol=a.tol)
     for report in result.reports:
         status = "pass" if report.passed else "FAIL"
-        click.echo(f"{report.constraint}: {status} (margin {report.margin:.6g})", err=True)
+        print(f"{report.constraint}: {status} (margin {report.margin:.6g})", file=sys.stderr)
     if result.stopped:
-        click.echo("{}: not run ({})".format(*result.stopped), err=True)
-    _emit(result.to_json_dict(), fmt)
-    if result.level == "invalid":
-        sys.exit(1)
+        print("{}: not run ({})".format(*result.stopped), file=sys.stderr)
+    _emit(result.to_json_dict(), a.fmt)
+    return 1 if result.level == "invalid" else 0
 
 
-@main.group()
-def oracle() -> None:
-    """Brute-force ground-truth checks."""
+def _oracle_verify(a) -> int:
+    """Check a named claim by brute force."""
+    from . import oracle
 
-
-@oracle.command("verify")
-@click.option("--claim", required=True, help="claim identifier")
-@_seed_option
-@click.option("--cases", type=click.IntRange(min=1), default=50, show_default=True)
-@_format_option
-def oracle_verify_cmd(claim: str, seed: int, cases: int, fmt: str) -> None:
-    from . import oracle as oracle_mod
-
-    report = oracle_mod.exhaustive_verify(claim, seed=seed, cases=cases)
-    _emit(report, fmt)
-    if not report.get("passed", False):
-        sys.exit(1)
+    report = oracle.exhaustive_verify(a.claim, seed=a.seed, cases=a.cases)
+    _emit(report, a.fmt)
+    return 0 if report.get("passed", False) else 1
 
 
 # -- table and figure data ---------------------------------------------------
@@ -536,84 +421,34 @@ def run_summary_table(p: float = 2.0) -> dict:
     # One representative spot check backs all three p-theory cells.
     report = constraints.check_p_uncertainty(games.chsh_optimal_state(p), p)
     uncertainty_cells = [_cell("yes" if report.passed else "no", "computed")] * 3
-    rows = [
-        {
-            "name": "non-signaling",
-            "cells": [_cell("yes", "claimed")] * 5,
-        },
-        {
-            "name": "power-uncertainty",
-            "cells": uncertainty_cells
-            + [_cell("p=2", "claimed"), _cell("n/a", "claimed")],
-        },
-        {
-            "name": "simultaneous-measurements",
-            "cells": [
-                _cell("no", "claimed"),
-                _cell("local", "claimed"),
-                _cell("commuting", "claimed"),
-                _cell("commuting", "claimed"),
-                _cell("all", "claimed"),
-            ],
-        },
-        {
-            "name": "chsh-win",
-            "cells": [
-                _cell(win, "computed"),
-                _cell(win, "computed"),
-                _cell(win, "computed"),
-                _cell(quantum_win, "computed"),
-                _cell(0.75, "claimed"),
-            ],
-        },
-        {
-            "name": "rac-bits-to-encode-N",
-            "cells": [
-                _cell("O(polylog(N))", "claimed"),
-                _cell("O(polylog(N))", "claimed"),
-                _cell("?", "claimed"),
-                _cell("Omega(N)", "claimed"),
-                _cell("Omega(N)", "claimed"),
-            ],
-        },
-        {
-            "name": "pir-from-N-bits",
-            "cells": [
-                _cell("O(polylog(N))", "claimed"),
-                _cell("O(polylog(N))", "claimed"),
-                _cell("?", "claimed"),
-                _cell("Omega(N)", "claimed"),
-                _cell("Omega(N)", "claimed"),
-            ],
-        },
-        {
-            "name": "state-learning",
-            "cells": [
-                _cell("hard", "claimed"),
-                _cell("hard", "claimed"),
-                _cell("?", "claimed"),
-                _cell("easy", "claimed"),
-                _cell("easy", "claimed"),
-            ],
-        },
-    ]
+    claimed = {
+        "non-signaling": ["yes"] * 5,
+        "simultaneous-measurements": ["no", "local", "commuting", "commuting", "all"],
+        "rac-bits-to-encode-N": ["O(polylog(N))"] * 2 + ["?"] + ["Omega(N)"] * 2,
+        "pir-from-N-bits": ["O(polylog(N))"] * 2 + ["?"] + ["Omega(N)"] * 2,
+        "state-learning": ["hard"] * 2 + ["?"] + ["easy"] * 2,
+    }
+    cells = {name: [_cell(value, "claimed") for value in values] for name, values in claimed.items()}
+    cells["power-uncertainty"] = uncertainty_cells + [_cell("p=2", "claimed"), _cell("n/a", "claimed")]
+    cells["chsh-win"] = [_cell(win, "computed")] * 3 + [_cell(quantum_win, "computed"), _cell(0.75, "claimed")]
+    order = ("non-signaling", "power-uncertainty", "simultaneous-measurements", "chsh-win",
+             "rac-bits-to-encode-N", "pir-from-N-bits", "state-learning")
+    rows = [{"name": name, "cells": cells[name]} for name in order]
     return {"p": _p_token(p), "columns": list(TABLE_COLUMNS), "rows": rows}
 
 
-@main.command()
-@click.option("--p", "p", type=EXPONENT, default=2.0, show_default=True)
-@_format_option
-def table(p: float, fmt: str) -> None:
+def _table(a) -> int:
     """Summary table of theory properties at exponent p."""
-    payload = run_summary_table(p)
-    if fmt == "json":
+    payload = run_summary_table(a.p)
+    if a.fmt == "json":
         _emit_json(payload)
-        return
+        return 0
     rows = []
     for row in payload["rows"]:
         for column, cell in zip(payload["columns"], row["cells"]):
             rows.append((row["name"], column, cell["value"], cell["status"]))
     _emit_csv(("row", "theory", "value", "status"), rows)
+    return 0
 
 
 def run_psphere(p_list=DEFAULT_PSPHERE_P, samples: int = 128) -> list[tuple[float, float, float]]:
@@ -638,33 +473,175 @@ def run_psphere(p_list=DEFAULT_PSPHERE_P, samples: int = 128) -> list[tuple[floa
     return points
 
 
-@main.command()
-@click.option(
-    "--p-list",
-    default="1,2,3,10,10000",
-    show_default=True,
-    help="comma-separated exponents",
-)
-@click.option("--samples", type=int, default=128, show_default=True)
-def psphere(p_list: str, samples: int) -> None:
+def _psphere(a) -> int:
     """CSV sphere-boundary points for plotting, one curve per p."""
-    values = tuple(EXPONENT.convert(tok, None, None) for tok in p_list.split(","))
-    points = run_psphere(values, samples)
-    _emit_csv(("p", "x", "y"), points)
+    _emit_csv(("p", "x", "y"), run_psphere(a.p_list, a.samples))
+    return 0
 
 
-# -- programmatic dispatch ---------------------------------------------------
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every usage error on stderr, with the commands of a
+    group, and exits 2."""
+
+    commands: tuple[str, ...] = ()
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        if self.commands:
+            print("commands: " + ", ".join(self.commands), file=sys.stderr)
+        self.exit(2, f"Error: {message}\n")
+
+
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One option's ``add_argument`` arguments; its help shows the default."""
+    if kwargs.get("default") is not None:
+        kwargs["help"] += " (default: %(default)s)"
+    return flags, kwargs
+
+
+def _group(parser: _Parser, title: str, commands: dict, argv: list[str]) -> None:
+    """Subcommands of ``parser``: name -> (run, *options), or name ->
+    (help, nested commands) for a group.
+
+    A command is chosen by its exact name, so when ``argv`` holds some
+    of the names only those are built: each parser costs about 0.1 ms,
+    mostly gettext looking for translations, and all of them 2.5 ms.
+    Otherwise (help, or a missing or unknown command) all are built.
+    """
+    sub = parser.add_subparsers(dest=title, metavar=title, required=True)
+    parser.commands = tuple(commands)
+    for name in [name for name in commands if name in argv] or commands:
+        run, *options = commands[name]
+        doc = run if isinstance(run, str) else run.__doc__
+        child = sub.add_parser(name, help=doc.splitlines()[0], description=doc, allow_abbrev=False)
+        if isinstance(run, str):
+            _group(child, "subcommand", options[0], argv)
+            continue
+        for flags, kwargs in options:
+            child.add_argument(*flags, **kwargs)
+        child.set_defaults(run=run, parser=child)
+
+
+def _parser(argv: list[str]) -> _Parser:
+    """The command tree for ``argv``, built per call so that --seed
+    reads BOXWORLD_SEED at parse time."""
+    seed_text = os.environ.get("BOXWORLD_SEED", "").strip() or "0"
+    p = _opt("--p", type=_exponent, default="inf", help="power exponent, 'inf' allowed")
+    seed = _opt("--seed", type=_at_least(0), default=seed_text, help="RNG seed, BOXWORLD_SEED if unset")
+    tol = _opt("--tol", type=float, default=states.DEFAULT_TOL, help="tolerance")
+    fmt = _opt("--format", dest="fmt", choices=("json", "csv"), default="json", help="output format")
+    theory = _opt("--theory", default="p-gnst", help="gnst, p-gnst, p-bin or p-box")
+    n = _opt("--n", type=int, required=True, help="carrier systems")
+    rac = {
+        "params": (_rac_params, theory, n, p, fmt),
+        "encode": (
+            _rac_encode, theory, n, p,
+            _opt("--bits", required=True, help="the bit string to encode, e.g. 0110"),
+            _opt("--out", type=_new_file, help="file to write the state to (default stdout)"),
+        ),
+        "decode": (
+            _rac_decode,
+            _opt("--file", required=True, help="state JSON file"),
+            _opt("--index", "-j", type=int, required=True, help="1-based bit index"),
+            fmt,
+        ),
+        "verify": (
+            _rac_verify, theory, n, p, seed,
+            _opt("--trials", type=_at_least(1), default=DEFAULT_TRIALS, help="samples per index"),
+            _opt("--bits", help="bit string to test (default: seeded random)"),
+            tol,
+            _opt("--format", dest="fmt", choices=("json", "csv"), default="csv", help="output format"),
+        ),
+        "boost": (
+            _rac_boost, n, p, seed,
+            _opt("--trials", type=int, default=DEFAULT_TRIALS, help="samples"),
+            _opt("--index", "-j", type=int, default=1, help="1-based bit index"),
+            fmt,
+        ),
+    }
+    comm = {
+        "cost": (_comm_cost, _opt("--n", type=int, required=True, help="input bits per player"), p, theory, fmt),
+        "ip": (
+            _comm_ip,
+            _opt("--x", required=True, help="first player's bits"),
+            _opt("--y", required=True, help="second player's bits"),
+            p, seed, fmt,
+        ),
+    }
+    commands = {
+        "chsh": (_chsh, p, tol, fmt),
+        "xor": (
+            _xor, p, seed, tol,
+            _opt("--s-count", type=int, default=2, help="first party's questions"),
+            _opt("--t-count", type=int, default=2, help="second party's questions"),
+            _opt("--game", choices=("chsh", "random"), default="chsh", help="the game to play"),
+            fmt,
+        ),
+        "rac": ("Random access codes: parameters, encoding, decoding, verification.", rac),
+        "comm": ("One-way communication of the inner-product function.", comm),
+        "pir": (
+            _pir,
+            _opt("--db", required=True, help="database bit string"),
+            _opt("--index", "-i", type=int, required=True, help="1-based entry to fetch"),
+            p, seed, fmt,
+        ),
+        "learn": (
+            _learn,
+            _opt("--budget", type=float, required=True, help="total bit budget"),
+            p,
+            _opt("--gamma", type=float, required=True, help="fat-shattering margin"),
+            _opt("--epsilon", type=float, required=True, help="accuracy"),
+            _opt("--delta", type=float, required=True, help="failure probability"),
+            _opt("--eta", type=float, help="accuracy margin, compared with gamma (optional)"),
+            fmt,
+        ),
+        "validate": (_validate, _opt("--file", required=True, help="state JSON file"), p, tol, fmt),
+        "oracle": ("Brute-force ground-truth checks.", {
+            "verify": (
+                _oracle_verify,
+                _opt("--claim", required=True, help="claim identifier"),
+                seed,
+                _opt("--cases", type=_at_least(1), default=50, help="cases to draw"),
+                fmt,
+            ),
+        }),
+        "table": (_table, _opt("--p", type=_exponent, default=2.0, help="power exponent, 'inf' allowed"), fmt),
+        "psphere": (
+            _psphere,
+            _opt("--p-list", type=_exponents, default=DEFAULT_PSPHERE_P, help="comma-separated exponents"),
+            _opt("--samples", type=int, default=128, help="points per curve"),
+        ),
+    }
+    root = _Parser(prog="boxworld", description="Power-constrained box-world toolkit.", allow_abbrev=False)
+    _group(root, "command", commands, argv)
+    return root
+
+
+# -- entry points ------------------------------------------------------------
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (default ``sys.argv[1:]``); returns the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parser(argv).parse_args(argv)
+        try:
+            return args.run(args)
+        except BoxworldError as exc:
+            args.parser.error(str(exc))
+    except SystemExit as exc:  # -h exits 0, a usage error 2
+        return exc.code if isinstance(exc.code, int) else 1
 
 
 def run_named(config: Mapping) -> int:
     """Dispatch a config dict through the CLI; returns the exit code."""
     mapping = dict(config)
-    command = str(mapping.pop("command", "") or "")
-    if not command:
-        click.echo("usage error: no command given", err=True)
-        click.echo("commands: " + ", ".join(sorted(main.commands)), err=True)
-        return 2
-    argv = command.split()
+    argv = str(mapping.pop("command", "") or "").split()
     for key in sorted(mapping):
         value = mapping[key]
         if value is None:
@@ -677,24 +654,8 @@ def run_named(config: Mapping) -> int:
             argv.extend([flag, "inf"])
         else:
             argv.extend([flag, str(value)])
-    try:
-        main.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        click.echo("commands: " + ", ".join(sorted(main.commands)), err=True)
-        return 2
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
-    except BoxworldError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    return 0
+    return main(argv)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,13 +1,16 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import boxworld
 from boxworld import oracle, rac as rac_mod
@@ -19,9 +22,21 @@ from boxworld.rac import rac_encode_pbin, rac_encode_pgnst
 from boxworld.states import CoefficientState, GnstState
 
 
+class Runner:
+    """Runs ``cli.main`` in process, capturing stdout, stderr and the exit code."""
+
+    def invoke(self, command, args, env=None):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+            code = command(list(args))
+        return SimpleNamespace(
+            exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(), output=out.getvalue() + err.getvalue()
+        )
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def invoke(runner, *args, **kwargs):

@@ -1,7 +1,8 @@
 """Every top-level import in the package and the tests is used, the
 lower layers never import the upper ones at the top, no production
-module imports the oracle anywhere, and the modules of the
-combinatorial commands load no numpy.
+module imports the oracle anywhere, the modules of the combinatorial
+commands load no numpy, and no command loads click, nor ``rac`` where
+it goes unused.
 
 A name bound by a module-level import must be read somewhere in the
 module or listed in its ``__all__``.  A deliberate re-export is spelled
@@ -103,10 +104,11 @@ def test_no_module_level_numpy_import(name):
 RUN_COMMANDS = """\
 import json, sys
 from boxworld.cli import main
-loaded = ["numpy" in sys.modules]
+MODULES = ("numpy", "click", "boxworld.rac")
+loaded = [[name in sys.modules for name in MODULES]]
 for args in json.loads(sys.argv[1]):
-    main.main(args=args, standalone_mode=False)
-    loaded.append("numpy" in sys.modules)
+    assert main(args) == 0, args
+    loaded.append([name in sys.modules for name in MODULES])
 print(json.dumps(loaded))
 """
 
@@ -131,6 +133,9 @@ NUMPY_FREE_COMMANDS = {
     "table": [["table", "--p", p] for p in ("1.5", "2", "3", "inf")],
 }
 
+# Commands that read no code: theory names are checked in rac alone.
+RAC_FREE_COMMANDS = ("chsh", "xor", "table")
+
 
 @pytest.mark.parametrize("command", NUMPY_FREE_COMMANDS)
 def test_command_loads_no_numpy(command, tmp_path):
@@ -143,8 +148,10 @@ def test_command_loads_no_numpy(command, tmp_path):
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    # One flag after the import and one after each command.
-    assert json.loads(out.stdout.splitlines()[-1]) == [False] * (len(argv) + 1)
+    # One row of flags after the import and one after each command.
+    numpy, click, rac = zip(*json.loads(out.stdout.splitlines()[-1]))
+    assert numpy == click == (False,) * (len(argv) + 1)
+    assert not any(rac) or command not in RAC_FREE_COMMANDS
 
 
 def test_every_public_name_resolves():
