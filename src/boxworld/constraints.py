@@ -76,7 +76,6 @@ from .states import (
     _column,
     _marginals,
     conjugate_pauli,
-    moments_from_probabilities,
 )
 
 if TYPE_CHECKING:
@@ -155,12 +154,13 @@ def _moment_table(state: StateLike) -> MomentTable:
 
     A coefficient state is its own lenient table (an absent string has
     moment zero) and is read in place; probability tables give strict
-    ones unless compact, since an unmeasured moment is unknown, not zero.
+    ones unless compact, since an unmeasured moment is unknown, not zero,
+    converted once per state by :meth:`GnstState.moment_table`.
     """
     if isinstance(state, MomentTable):
         return state
     if isinstance(state, GnstState):
-        return moments_from_probabilities(state)
+        return state.moment_table()
     raise DomainError(f"cannot extract moments from {type(state).__name__}")
 
 

@@ -336,7 +336,8 @@ def hermitian_basis(n: int) -> Iterator[PauliString]:
     the identity (``PauliString.identity(n)``), lexicographic by letters.
 
     Ordering follows per-system digits I < X < Z < Y, system 0 most
-    significant, which matches the index maps used by the encoders.
+    significant: the layout of the unrestricted coefficient code, whose
+    bit j sits on the j-th string.
     """
     low = (1 << n) - 1
     for k in _basis_keys(n)[1:]:

@@ -8,8 +8,11 @@ recovery), probability tables at exponent p, coefficient states over
 every basis string, and coefficient states restricted to letter tensor
 products.  In all of them each address carries the encoded bit in the
 sign of one moment, so recovery succeeds with probability
-(1 + |moment|)/2.  :func:`rac_encode` is the one map from a theory
-name to its code.
+(1 + |moment|)/2.  Every code has one layout: bit j lives at the j-th
+fiducial setting (tables) or the j-th basis string (coefficient codes),
+each in lexicographic order; another order is a permutation of the bits
+before encoding and of the index before decoding.  :func:`rac_encode` is
+the one map from a theory name to its code.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, ResourceError, ValidationError, validate_exponent
 from .pauli import PauliString, digit_masks, full_support_strings, hermitian_basis
-from .states import CoefficientState, FiducialSetting, GnstState, all_settings
+from .states import CoefficientState, GnstState, all_settings
 
 __all__ = [
     "RacParams",
@@ -95,44 +98,27 @@ def rac_params(theory: str, n: int, p: float = math.inf) -> RacParams:
 
 
 class IndexMap:
-    """A 1-based bijection between bit indices and measurement addresses.
+    """The 1-based settings layout of the table codes.
 
-    Position i of ``addresses`` answers index i+1.  The three standard
-    maps enumerate fiducial settings, all non-identity basis strings,
-    or the full-support strings, each in lexicographic order; the
-    class accepts any address tuple for custom layouts.  The settings
-    map is the identity on a compact table's sign vector: index j reads
-    ``signs[j-1]``, which is why the table encoders need no map unless
-    given a custom one.
+    Position i of ``addresses`` answers index i+1; the addresses must
+    be distinct.  :meth:`settings_map` enumerates the fiducial settings in
+    lexicographic order, the identity on a compact table's sign vector:
+    index j reads ``signs[j-1]``.
     """
 
-    __slots__ = ("_addresses", "_positions")
+    __slots__ = ("_addresses",)
 
     def __init__(self, addresses: Sequence):
         addresses = tuple(addresses)
         if not addresses:
             raise DomainError("an index map needs at least one address")
-        positions = dict(zip(addresses, range(1, len(addresses) + 1)))
-        if len(positions) != len(addresses):
+        if len(set(addresses)) != len(addresses):
             raise ValidationError("index map addresses must be distinct")
         self._addresses = addresses
-        self._positions = positions
 
     @classmethod
     def settings_map(cls, n: int) -> "IndexMap":
         return cls(all_settings(n))
-
-    @classmethod
-    def string_map(cls, n: int) -> "IndexMap":
-        return cls(tuple(hermitian_basis(n)))
-
-    @classmethod
-    def full_support_map(cls, n: int) -> "IndexMap":
-        return cls(full_support_strings(n))
-
-    @property
-    def size(self) -> int:
-        return len(self._addresses)
 
     @property
     def addresses(self) -> tuple:
@@ -142,12 +128,6 @@ class IndexMap:
         if not 1 <= j <= len(self._addresses):
             raise DomainError(f"index {j} outside 1..{len(self._addresses)}")
         return self._addresses[j - 1]
-
-    def index_of(self, address) -> int:
-        try:
-            return self._positions[address]
-        except KeyError:
-            raise DomainError(f"address {address!r} not in the map") from None
 
 
 def _check_bits(bits: Sequence[int], expected: int) -> None:
@@ -171,23 +151,19 @@ def rac_encode(
     raise DomainError(f"unknown theory {theory!r}")
 
 
-def rac_encode_gnst(
-    bits: Sequence[int], n: int, index_map: IndexMap | None = None
-) -> GnstState:
+def rac_encode_gnst(bits: Sequence[int], n: int) -> GnstState:
     """Pack 3**n bits into one n-system table with perfect recovery:
     the code of :func:`rac_encode_pgnst` at p = infinity, whose
     strength (2n+1)**(-1/p) is exactly 1."""
-    return rac_encode_pgnst(bits, n, math.inf, index_map)
+    return rac_encode_pgnst(bits, n, math.inf)
 
 
-def rac_encode_pgnst(
-    bits: Sequence[int], n: int, p: float, index_map: IndexMap | None = None
-) -> GnstState:
+def rac_encode_pgnst(bits: Sequence[int], n: int, p: float) -> GnstState:
     """The table code at exponent ``p``: strength (2n+1)**(-1/p).
 
-    Bit j sets the sign of the j-th setting in lexicographic order
-    unless ``index_map`` says otherwise.  The strength gives the
-    recovery probability 1/2 + (2n+1)**(-1/p)/2 of
+    Bit j sets the sign of the j-th setting in lexicographic
+    (:func:`~boxworld.states.all_settings`) order.  The strength gives
+    the recovery probability 1/2 + (2n+1)**(-1/p)/2 of
     :func:`rac_params`.  It saturates the power-sum relation at n = 1,
     where X, Z and Y form a 3-member anti-commuting family, and at
     n = 4, where 9 = 2n+1 full-support strings pairwise anti-commute.
@@ -199,16 +175,8 @@ def rac_encode_pgnst(
     p = validate_exponent(p)
     if n < 1:
         raise DomainError("need at least one carrier system")
-    expected = 3**n
-    _check_bits(bits, expected)
+    _check_bits(bits, 3**n)
     signs = [-1 if b else 1 for b in bits]
-    if index_map is not None:
-        if index_map.size != expected:
-            raise DimensionError("index map size disagrees with the bit count")
-        by_setting = {
-            address.labels: sign for address, sign in zip(index_map.addresses, signs)
-        }
-        signs = [by_setting[s.labels] for s in all_settings(n)]
     return GnstState.compact(n, (2 * n + 1) ** (-1.0 / p), signs)
 
 
@@ -217,11 +185,13 @@ def rac_encode_pbin(
 ) -> CoefficientState:
     """Coefficient-state code: one bit per basis string.
 
-    Unrestricted, all 4**n - 1 strings carry +-(2n+1)**(-1/p), packing
-    more bits per carrier than any table code; the output generally
-    satisfies nothing beyond the power-sum relation.  Restricted to the
-    3**n full-support letter tensors the output also passes the
-    disjoint-support moment checks.
+    Unrestricted, all 4**n - 1 strings carry +-(2n+1)**(-1/p), bit j on
+    the j-th string in :func:`~boxworld.pauli.hermitian_basis` order,
+    packing more bits per carrier than any table code; the output
+    generally satisfies nothing beyond the power-sum relation.
+    Restricted, bit j sits on the j-th of the 3**n full-support letter
+    tensors (:func:`~boxworld.pauli.full_support_strings` order), and
+    the output also passes the disjoint-support moment checks.
     """
     p = validate_exponent(p)
     if n < 1:
@@ -236,7 +206,7 @@ def rac_encode_pbin(
 
 
 def _default_coefficient_address(state: CoefficientState, j: int) -> PauliString:
-    """The j-th string of the default coefficient map, built from the
+    """The j-th string of the coefficient code's layout, built from the
     digits of j, system 0 most significant.
 
     The unrestricted layout (:func:`hermitian_basis` order) reads j in
@@ -259,31 +229,19 @@ def _default_coefficient_address(state: CoefficientState, j: int) -> PauliString
     return PauliString.hermitian(n, *digit_masks(reversed(digits)))
 
 
-def rac_decode(
-    state: GnstState | CoefficientState,
-    j: int,
-    index_map: IndexMap | None = None,
-) -> tuple[int, float]:
+def rac_decode(state: GnstState | CoefficientState, j: int) -> tuple[int, float]:
     """Recover one bit: measure index ``j``'s address, return the sign.
 
-    Returns the decoded bit together with its exact success probability
+    A table reads the j-th setting of :meth:`IndexMap.settings_map`; a
+    coefficient state the j-th string of its encoder's layout.  Returns
+    the decoded bit together with its exact success probability
     (1 + |m|)/2, where m is the addressed moment.  A vanishing moment
     decodes as 0 at probability 1/2.
     """
     if isinstance(state, GnstState):
-        index_map = index_map or IndexMap.settings_map(state.n)
-        address = index_map.address_of(j)
-        if not isinstance(address, FiducialSetting):
-            raise DomainError("table states need setting addresses")
-        moment = state.setting_moment(address)
+        moment = state.setting_moment(IndexMap.settings_map(state.n).address_of(j))
     elif isinstance(state, CoefficientState):
-        if index_map is None:
-            address = _default_coefficient_address(state, j)
-        else:
-            address = index_map.address_of(j)
-        if not isinstance(address, PauliString):
-            raise DomainError("coefficient states need string addresses")
-        moment = state.expectation(address)
+        moment = state.expectation(_default_coefficient_address(state, j))
     else:
         raise DomainError(f"cannot decode from {type(state).__name__}")
     bit = 0 if moment >= 0.0 else 1

@@ -445,9 +445,11 @@ class GnstState:
     :func:`moments_from_probabilities`, which checks normalization and
     overlaps itself).  A non-finite ``lam`` or probability, and a
     vector of the wrong length, raise :class:`ValidationError` always.
+    The state is immutable, so :meth:`moment_table` converts it once
+    and keeps the table; equality and JSON ignore that copy.
     """
 
-    __slots__ = ("_n", "_table", "_lam", "_signs")
+    __slots__ = ("_n", "_table", "_lam", "_signs", "_moments")
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use GnstState.from_table or GnstState.compact")
@@ -461,6 +463,7 @@ class GnstState:
         self._table = table
         self._lam = lam
         self._signs = signs
+        self._moments = None
         return self
 
     @classmethod
@@ -591,6 +594,13 @@ class GnstState:
 
     def setting_moment(self, setting: FiducialSetting) -> float:
         return self.subset_moment(setting, range(self._n))
+
+    def moment_table(self) -> MomentTable:
+        """:func:`moments_from_probabilities` at the default tolerance,
+        run on the first read and kept for every later one."""
+        if self._moments is None:
+            self._moments = moments_from_probabilities(self)
+        return self._moments
 
     # -- validation ---------------------------------------------------
 

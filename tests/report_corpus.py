@@ -4,8 +4,11 @@ Every ladder family at n = 1..4 and p in {1.5, 2, 3, inf}: quantum
 states, the same states scaled x1.6 as lenient tables, p-bin codes,
 codes restricted to letter tensors, p-gnst codes, valid states from
 ``oracle.random_valid_state``, strict tables holding half of a quantum
-state's moments, and the PR box at n = 2.  ``tests/test_report_corpus.py``
-compares the reports with the committed ``tests/data/report_corpus.json``.
+state's moments, and the PR box at n = 2.  At n = 5 and 6, on the same
+p grid: tensor products of two quantum states, p-gnst codes and p-bin
+codes, which pin the ``canonical`` uncertainty search and the rungs that
+stop above their size limits.  ``tests/test_report_corpus.py`` compares
+the reports with the committed ``tests/data/report_corpus.json``.
 
 A change that moves a report on purpose regenerates the file with
 
@@ -52,6 +55,14 @@ def corpus_states():
             yield "half", n, p, states.MomentTable(n, half, strict=True)
             if n == 2:
                 yield "prbox", n, p, states.pr_box_state()
+    for n in (5, 6):
+        rng = np.random.default_rng([2008, n])
+        for p in P_GRID:
+            first = oracle.random_quantum_state(n // 2, rng)
+            product = states.tensor_product(first, oracle.random_quantum_state(n - n // 2, rng))
+            yield "product", n, p, product
+            yield "pgnst", n, p, rac.rac_encode_pgnst(_bits(rng, 3**n), n, p)
+            yield "pbin", n, p, rac.rac_encode_pbin(_bits(rng, 4**n - 1), n, p)
 
 
 def corpus() -> list[dict]:

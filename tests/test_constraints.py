@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxworld import constraints, oracle
+from boxworld import constraints, oracle, states
 from boxworld.constraints import (
     MAX_COLLECTION_SIZE,
     check_commuting_moments,
@@ -42,6 +42,7 @@ from boxworld.states import (
     MomentTable,
     all_settings,
     apply_clifford,
+    conjugate_pauli,
     moments_from_probabilities,
     pr_box_state,
 )
@@ -811,18 +812,35 @@ class TestLadderPaths:
         dense = oracle.dense(oracle.pr_box_coefficient_state())
         assert abs(result.reports[-1].margin - oracle.min_eigenvalue(dense)) <= 1e-12
 
-    def test_probability_table_read_once(self, monkeypatch):
+    @staticmethod
+    def _count_conversions(monkeypatch) -> list:
         calls = []
-        convert = constraints.moments_from_probabilities
+        convert = states.moments_from_probabilities
 
         def counting(state, *args, **kwargs):
             calls.append(state)
             return convert(state, *args, **kwargs)
 
-        monkeypatch.setattr(constraints, "moments_from_probabilities", counting)
+        monkeypatch.setattr(states, "moments_from_probabilities", counting)
+        return calls
+
+    def test_probability_table_read_once(self, monkeypatch):
+        calls = self._count_conversions(monkeypatch)
         result = classify_state(pr_box_state(), math.inf)
         assert len(result.reports) == 4
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("rung", [check_local_moments, check_commuting_moments, check_p_uncertainty])
+    def test_direct_rung_calls_convert_a_table_once(self, rung, monkeypatch):
+        calls = self._count_conversions(monkeypatch)
+        state = pr_box_state()
+        args = (2.0,) if rung is check_p_uncertainty else ()
+        first, second = rung(state, *args), rung(state, *args)
+        assert len(calls) == 1
+        assert first == second
+        # The kept table is no part of the state's value.
+        assert state == pr_box_state()
+        assert state.to_json() == pr_box_state().to_json()
 
     @pytest.mark.parametrize(
         "state",
@@ -879,6 +897,53 @@ class TestLadderPaths:
                 alone = [rung(state, p) for rung in rungs[: len(result.reports)]]
                 expected = [r.to_json_dict() for r in alone]
                 assert [r.to_json_dict() for r in result.reports] == expected
+
+
+def swap_circuit(n, pairs):
+    """System transpositions, each as three CNOTs."""
+    ops = [("CNOT", *pair) for i, j in pairs for pair in ((i, j), (j, i), (i, j))]
+    return CliffordCircuit.from_ops(n, *ops)
+
+
+class TestCliffordInvariance:
+    """The uncertainty, commuting and density rungs read only what a
+    Clifford conjugation keeps: the moments up to sign, the commutation
+    pattern and the spectrum.  So random circuits and system swaps leave
+    their verdicts alone, the uncertainty margin to the bit (it sums the
+    same magnitudes) and the two eigenvalue margins to rounding."""
+
+    @staticmethod
+    def reports(state, p):
+        return (
+            check_p_uncertainty(state, p),
+            check_commuting_moments(state),
+            check_psd(constraints._density_matrix(state)),
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_three_rungs_are_invariant(self, n, p):
+        rng = np.random.default_rng([14, n, int(2 * p)])
+        bits = [int(b) for b in rng.integers(0, 2, size=4**n - 1)]
+        for state in (
+            oracle.random_quantum_state(n, rng),
+            rac_encode_pbin(bits, n, p),
+            oracle.random_valid_state(n, p, rng),
+        ):
+            swaps = [tuple(int(i) for i in rng.choice(n, size=2, replace=False)) for _ in range(n)]
+            circuits = (oracle.random_circuit(n, rng), oracle.random_circuit(n, rng), swap_circuit(n, swaps))
+            before = self.reports(state, p)
+            for circuit in circuits:
+                after = self.reports(apply_clifford(circuit, state), p)
+                assert [r.passed for r in after] == [r.passed for r in before]
+                assert after[0].margin == before[0].margin
+                for image, base in zip(after[1:], before[1:]):
+                    assert abs(image.margin - base.margin) <= 1e-12
+
+    def test_swap_circuit_permutes_systems(self):
+        circuit = swap_circuit(3, [(0, 2)])
+        image = conjugate_pauli(circuit, PauliString.from_text("XZY"))
+        assert image == PauliString.from_text("YZX")
 
 
 class TestCoefficientStatesAreMomentTables:

@@ -24,7 +24,7 @@ from boxworld.rac import (
     rac_repetition_decode,
     rac_repetition_params,
 )
-from boxworld.states import FiducialSetting, all_settings
+from boxworld.states import MomentTable, all_settings
 
 
 class TestParams:
@@ -68,20 +68,6 @@ class TestIndexMap:
         addresses = IndexMap.settings_map(1).addresses
         assert [a.labels for a in addresses] == [(1,), (2,), (3,)]
 
-    def test_string_map_counts(self):
-        assert IndexMap.string_map(1).size == 3
-        assert IndexMap.string_map(2).size == 15
-
-    def test_full_support_map(self):
-        m = IndexMap.full_support_map(2)
-        assert m.size == 9
-        assert m.address_of(1).letters() == "XX"
-
-    def test_round_trip(self):
-        m = IndexMap.settings_map(2)
-        for j in range(1, m.size + 1):
-            assert m.index_of(m.address_of(j)) == j
-
     def test_validation(self):
         with pytest.raises(DomainError):
             IndexMap(())
@@ -92,16 +78,6 @@ class TestIndexMap:
             m.address_of(0)
         with pytest.raises(DomainError):
             m.address_of(4)
-        with pytest.raises(DomainError):
-            m.index_of(FiducialSetting((1, 1)))
-
-    def test_index_of_every_standard_map(self):
-        for m in (
-            IndexMap.settings_map(3),
-            IndexMap.string_map(2),
-            IndexMap.full_support_map(2),
-        ):
-            assert [m.index_of(a) for a in m.addresses] == list(range(1, m.size + 1))
 
 
 class TestTableEncoding:
@@ -141,15 +117,6 @@ class TestTableEncoding:
             sets = oracle.maximal_anticommuting_sets(full_support_strings(n))
             assert max(map(len, sets)) == size
 
-    def test_custom_index_map(self):
-        reversed_map = IndexMap(tuple(all_settings(1))[::-1])
-        state = rac_encode_gnst([1, 0, 0], 1, index_map=reversed_map)
-        bit, _ = rac_decode(state, 1, index_map=reversed_map)
-        assert bit == 1
-        # same payload read through the default map lands elsewhere
-        bit, _ = rac_decode(state, 3)
-        assert bit == 1
-
     def test_input_validation(self):
         with pytest.raises(DimensionError):
             rac_encode_gnst([0, 1], 1)
@@ -161,12 +128,11 @@ class TestTableEncoding:
             rac_encode_pgnst([0, 1, 2], 1, 2)
         with pytest.raises(ValidationError):
             rac_encode_pgnst([0, -1, 1], 1, math.inf)
-        with pytest.raises(DimensionError):
-            rac_encode_gnst([0] * 9, 2, index_map=IndexMap.settings_map(1))
 
 
 class TestIdentityDefaultMap:
-    """The default encoders skip the map: it is the identity on the signs."""
+    """Each table code has one layout, the identity on the signs: bit j
+    is the sign of the j-th setting in ``all_settings`` order."""
 
     @staticmethod
     def _samples(n):
@@ -178,30 +144,25 @@ class TestIdentityDefaultMap:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_gnst_default_equals_settings_map(self, n):
-        explicit = IndexMap.settings_map(n)
+        assert IndexMap.settings_map(n).addresses == all_settings(n)
         for bits in self._samples(n):
-            assert rac_encode_gnst(bits, n) == rac_encode_gnst(bits, n, explicit)
+            state = rac_encode_gnst(bits, n)
+            assert state.signs == tuple(1 - 2 * b for b in bits)
+            assert [state.setting_moment(s) for s in all_settings(n)] == list(state.signs)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_pgnst_default_equals_settings_map(self, n, p):
-        explicit = IndexMap.settings_map(n)
         for bits in self._samples(n):
-            assert rac_encode_pgnst(bits, n, p) == rac_encode_pgnst(bits, n, p, explicit)
+            assert rac_encode_pgnst(bits, n, p).signs == tuple(1 - 2 * b for b in bits)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_default_decode_equals_settings_map(self, n):
-        explicit = IndexMap.settings_map(n)
         bits = list(self._samples(n))[-1]
         for state in (rac_encode_gnst(bits, n), rac_encode_pgnst(bits, n, 2)):
             for j in range(1, 3**n + 1):
-                assert rac_decode(state, j) == rac_decode(state, j, explicit)
-
-    def test_custom_map_relabels_signs(self):
-        bits = [0, 1, 1, 0, 1, 0, 0, 1, 1]
-        reversed_map = IndexMap(tuple(all_settings(2))[::-1])
-        state = rac_encode_gnst(bits, 2, reversed_map)
-        assert state.signs == tuple(1 - 2 * b for b in reversed(bits))
+                sign = state.signs[j - 1]
+                assert rac_decode(state, j) == ((1 - sign) // 2, 0.5 * (1.0 + state.lam))
 
 
 class TestOneEncoder:
@@ -223,12 +184,10 @@ class TestOneEncoder:
         assert rac_encode(theory, bits, n, p) == self.ENCODERS[theory](bits, n, p)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_full_strength_is_the_table_code_at_infinity(self, n, reverse):
-        index_map = IndexMap(tuple(all_settings(n))[::-1]) if reverse else None
+    def test_full_strength_is_the_table_code_at_infinity(self, n):
         bits = [int(b) for b in np.random.default_rng(n).integers(0, 2, size=3**n)]
-        expected = rac_encode_pgnst(bits, n, math.inf, index_map)
-        assert rac_encode_gnst(bits, n, index_map) == expected
+        expected = rac_encode_pgnst(bits, n, math.inf)
+        assert rac_encode_gnst(bits, n) == expected
         assert expected.lam == 1.0
 
     def test_unknown_theory(self):
@@ -279,23 +238,19 @@ class TestCoefficientEncoding:
     @pytest.mark.parametrize("restrict", [False, True])
     def test_default_address_equals_standard_map(self, restrict):
         for n in range(1, 5):
-            standard = IndexMap.full_support_map(n) if restrict else IndexMap.string_map(n)
-            bits = [j % 2 for j in range(standard.size)]
+            standard = full_support_strings(n) if restrict else tuple(hermitian_basis(n))
+            bits = [j % 2 for j in range(len(standard))]
             state = rac_encode_pbin(bits, n, 2, restrict_to_xyz=restrict)
-            for j in range(1, standard.size + 1):
-                assert _default_coefficient_address(state, j) == standard.address_of(j)
+            for j in range(1, len(standard) + 1):
+                assert _default_coefficient_address(state, j) == standard[j - 1]
                 assert rac_decode(state, j)[0] == bits[j - 1]
-            for j in (0, standard.size + 1):
-                with pytest.raises(DomainError, match=f"index {j} outside 1..{standard.size}"):
+            for j in (0, len(standard) + 1):
+                with pytest.raises(DomainError, match=f"index {j} outside 1..{len(standard)}"):
                     rac_decode(state, j)
 
-    def test_decode_rejects_mismatched_addresses(self):
-        state = rac_encode_pbin([0, 1, 0], 1, 2)
-        with pytest.raises(DomainError):
-            rac_decode(state, 1, index_map=IndexMap.settings_map(1))
-        table = rac_encode_gnst([0, 1, 0], 1)
-        with pytest.raises(DomainError):
-            rac_decode(table, 1, index_map=IndexMap.string_map(1))
+    def test_decode_needs_a_code_state(self):
+        with pytest.raises(DomainError, match="cannot decode from MomentTable"):
+            rac_decode(MomentTable(1, {(1, 0): 0.5}), 1)
 
 
 class TestRepetition:

@@ -34,7 +34,7 @@ def mismatches(actual, expected, path="$"):
 def test_reports_match_the_corpus():
     expected = json.loads(CORPUS.read_text())
     actual = json.loads(json.dumps(corpus()))
-    assert len(expected) == 116
+    assert len(expected) == 140
     assert list(mismatches(actual, expected)) == []
 
 
