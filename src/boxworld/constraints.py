@@ -62,11 +62,9 @@ from .pauli import (
     _basis_keys,
     gamma_set,
     lagrangian_rows,
-    maximal_commuting_sets,
 )
 from .states import (
     DEFAULT_TOL,
-    MAX_COLLECTION_SIZE as MAX_COLLECTION_SIZE,
     CliffordCircuit,
     CoefficientState,
     GnstState,
@@ -76,6 +74,7 @@ from .states import (
     _column,
     _marginals,
     conjugate_pauli,
+    moments_from_probabilities,
 )
 
 if TYPE_CHECKING:
@@ -85,13 +84,11 @@ __all__ = [
     "ValidationReport",
     "ClassificationResult",
     "LEVELS",
-    "validate_exponent",
     "check_p_uncertainty",
     "moment_matrix",
     "check_psd",
     "disjoint_support_collections",
     "check_local_moments",
-    "maximal_commuting_sets",
     "check_commuting_moments",
     "classify_state",
     "two_measurement_moment_matrix",
@@ -149,18 +146,20 @@ class ValidationReport:
         return out
 
 
-def _moment_table(state: StateLike) -> MomentTable:
+def _moment_table(state: StateLike, tol: float = DEFAULT_TOL) -> MomentTable:
     """The moments of a state as one table.
 
     A coefficient state is its own lenient table (an absent string has
     moment zero) and is read in place; probability tables give strict
-    ones unless compact, since an unmeasured moment is unknown, not zero,
-    converted once per state by :meth:`GnstState.moment_table`.
+    ones unless compact, since an unmeasured moment is unknown, not zero.
+    The conversion checks normalization and overlaps at ``tol``: at the
+    default it runs once per state, by :meth:`GnstState.moment_table`,
+    and at any other tolerance on every call.
     """
     if isinstance(state, MomentTable):
         return state
     if isinstance(state, GnstState):
-        return state.moment_table()
+        return state.moment_table() if tol == DEFAULT_TOL else moments_from_probabilities(state, tol)
     raise DomainError(f"cannot extract moments from {type(state).__name__}")
 
 
@@ -289,7 +288,7 @@ def check_p_uncertainty(
     the system count pick the search, and the report's ``mode`` names it:
 
         * ``max``, at p = infinity: the largest single moment, the first
-          in table.strings() order among equals.
+          in ascending key order, by ``(a, b)``, among equals.
         * ``exhaustive``, up to four systems: the heaviest pairwise
           anti-commuting subset of the strings with known non-zero
           moments, by a maximum-weight clique search.  A proof, since
@@ -317,7 +316,7 @@ def check_p_uncertainty(
         DomainError: for p < 1.
     """
     p = validate_exponent(p)
-    table = _moment_table(state)
+    table = _moment_table(state, tol)
     n = table.n
     # abs maps -0.0 to +0.0, so equal profiles have equal bytes; a zero
     # moment, like an unknown one, adds nothing to a power sum.
@@ -356,7 +355,7 @@ def _uncertainty(n: int, p: float, keys: Sequence[int], magnitudes: Sequence[flo
     their aligned ``magnitudes``: the one place that picks the search."""
     low = (1 << n) - 1
 
-    def order(k: int) -> tuple[int, int]:  # table.strings() order
+    def order(k: int) -> tuple[int, int]:  # ascending key order, (a, b)
         return k & low, k >> n
 
     sets = None
@@ -624,7 +623,7 @@ def check_local_moments(
     Raises:
         ResourceError: beyond five systems.
     """
-    table = _moment_table(state)
+    table = _moment_table(state, tol)
     if table.n > MAX_LOCAL_SYSTEMS:
         raise ResourceError(
             f"local moment check is limited to n <= {MAX_LOCAL_SYSTEMS}"
@@ -648,7 +647,7 @@ def check_commuting_moments(
     Raises:
         ResourceError: beyond four systems.
     """
-    table = _moment_table(state)
+    table = _moment_table(state, tol)
     return _positivity_report("commuting-moments", table, _commuting_plan(table.n), tol)
 
 
@@ -733,7 +732,7 @@ def classify_state(
     commuting beyond four) ends the walk at the level its failure would
     give and is named in ``stopped``.
     """
-    table = _moment_table(state)
+    table = _moment_table(state, tol)
     reports: list[ValidationReport] = []
     for level, name in zip(LEVELS, _RUNGS):
         try:

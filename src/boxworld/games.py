@@ -385,7 +385,7 @@ def xor_game_value(game: XorGame, strategy: XorStrategy) -> float:
     total = 0.0
     for s in range(game.s_count):
         for t in range(game.t_count):
-            corr = strategy.state.expectation(strategy.joint_observable(s, t))
+            corr = strategy.state.value(strategy.joint_observable(s, t))
             parity_sign = -1.0 if game.wins[s][t] else 1.0
             total += game.pi[s][t] * 0.5 * (1.0 + parity_sign * corr)
     return total

@@ -100,10 +100,10 @@ def rac_params(theory: str, n: int, p: float = math.inf) -> RacParams:
 class IndexMap:
     """The 1-based settings layout of the table codes.
 
-    Position i of ``addresses`` answers index i+1; the addresses must
-    be distinct.  :meth:`settings_map` enumerates the fiducial settings in
-    lexicographic order, the identity on a compact table's sign vector:
-    index j reads ``signs[j-1]``.
+    Index j (1-based) reads the j-th address given at construction; the
+    addresses must be distinct.  :meth:`settings_map` enumerates the
+    fiducial settings in lexicographic order, the identity on a compact
+    table's sign vector: index j reads ``signs[j-1]``.
     """
 
     __slots__ = ("_addresses",)
@@ -119,10 +119,6 @@ class IndexMap:
     @classmethod
     def settings_map(cls, n: int) -> "IndexMap":
         return cls(all_settings(n))
-
-    @property
-    def addresses(self) -> tuple:
-        return self._addresses
 
     def address_of(self, j: int) -> object:
         if not 1 <= j <= len(self._addresses):
@@ -241,7 +237,7 @@ def rac_decode(state: GnstState | CoefficientState, j: int) -> tuple[int, float]
     if isinstance(state, GnstState):
         moment = state.setting_moment(IndexMap.settings_map(state.n).address_of(j))
     elif isinstance(state, CoefficientState):
-        moment = state.expectation(_default_coefficient_address(state, j))
+        moment = state.value(_default_coefficient_address(state, j))
     else:
         raise DomainError(f"cannot decode from {type(state).__name__}")
     bit = 0 if moment >= 0.0 else 1

@@ -25,7 +25,6 @@ invertible, which the ``moments_from_probabilities`` /
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -104,10 +103,6 @@ class FiducialSetting:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def pauli(self) -> PauliString:
-        """The full product string measured under this setting."""
-        return self.subset_pauli(range(self.n))
 
     def subset_pauli(self, systems: Iterable[int]) -> PauliString:
         """The product string of the chosen systems' measurements.
@@ -207,9 +202,6 @@ class MomentTable:
     def keys(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._values))
 
-    def strings(self) -> tuple[PauliString, ...]:
-        return tuple(PauliString.hermitian(self._n, a, b) for a, b in self.keys())
-
     def value(self, p: PauliString) -> float:
         """Moment of a signed Hermitian string; m(identity) = 1."""
         if p.n != self._n:
@@ -292,8 +284,6 @@ class CoefficientState(MomentTable):
         full = (1 << self._n) - 1
         return bool(self._values) and all((a | b) == full for a, b in self._values)
 
-    expectation = MomentTable.value
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoefficientState):
             return NotImplemented
@@ -327,13 +317,6 @@ class CoefficientState(MomentTable):
                     raise DimensionError("term length disagrees with declared n")
                 coeffs[p.basis_key()] = float(term["coeff"])
             return cls(n, coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoefficientState":
-        return cls.from_json_dict(json.loads(text))
 
 
 def tensor_product(first: CoefficientState, second: CoefficientState) -> CoefficientState:
@@ -377,10 +360,6 @@ class CliffordCircuit:
                 raise DimensionError(f"gate target out of range: {targets}")
             if name == "CNOT" and targets[0] == targets[1]:
                 raise DomainError("CNOT control and target must differ")
-
-    @classmethod
-    def from_ops(cls, n: int, *ops: tuple) -> "CliffordCircuit":
-        return cls(n, tuple((name, tuple(ts)) for name, *ts in ops))
 
 
 def conjugate_pauli(circuit: CliffordCircuit, p: PauliString) -> PauliString:
@@ -540,11 +519,6 @@ class GnstState:
             return all_settings(self._n)
         return tuple(FiducialSetting(k) for k in sorted(self._table))
 
-    def has_setting(self, setting: FiducialSetting) -> bool:
-        if self.is_compact:
-            return True
-        return setting.labels in self._table
-
     def _setting_index(self, setting: FiducialSetting) -> int:
         index = 0
         for k in setting.labels:
@@ -660,13 +634,6 @@ class GnstState:
                 table = {tuple(s["k"]): s["p"] for s in data["settings"]}
                 return cls.from_table(int(data["n"]), table)
         raise ValidationError(f"expected a gnst kind, got {kind!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GnstState":
-        return cls.from_json_dict(json.loads(text))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GnstState):

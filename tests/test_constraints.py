@@ -10,32 +10,37 @@ from hypothesis import strategies as st
 
 from boxworld import constraints, oracle, states
 from boxworld.constraints import (
-    MAX_COLLECTION_SIZE,
     check_commuting_moments,
     check_local_moments,
     check_p_uncertainty,
     check_psd,
     classify_state,
     disjoint_support_collections,
-    maximal_commuting_sets,
     moment_matrix,
     two_measurement_eigenvalues,
     two_measurement_moment_matrix,
     two_measurement_sylvester,
-    validate_exponent,
     validate_gnst,
 )
-from boxworld.errors import DomainError, IncompleteMomentError, ResourceError
+from boxworld.errors import (
+    DomainError,
+    IncompleteMomentError,
+    ResourceError,
+    ValidationError,
+    validate_exponent,
+)
 from boxworld.pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
     commutes,
+    maximal_commuting_sets,
     pauli_product,
     product_of,
 )
 from boxworld.rac import rac_encode_pbin, rac_encode_pgnst
 from boxworld.states import (
     DEFAULT_TOL,
+    MAX_COLLECTION_SIZE,
     CliffordCircuit,
     CoefficientState,
     GnstState,
@@ -512,7 +517,8 @@ class TestCliqueSearch:
         """Against the worst power sum over every maximal anti-commuting
         set of the non-zero alphabet, enumerated by Bron-Kerbosch."""
         table = constraints._moment_table(state)
-        alphabet = [s for s in table.strings() if table.value(s) != 0.0]
+        strings = [PauliString.hermitian(table.n, a, b) for a, b in table.keys()]
+        alphabet = [s for s in strings if table.value(s) != 0.0]
         sets = oracle.maximal_anticommuting_sets(alphabet) if alphabet else ()
         for p in exponents:
             power_sum = lambda members: sum(abs(table.value(s)) ** p for s in members)
@@ -674,7 +680,7 @@ class TestProfileCache:
 
 
 def tied_table(n):
-    """Two largest moments of equal size, the later one in table.strings()
+    """Two largest moments of equal size, the later one in ascending key
     order stored first."""
     top = (1 << n) - 1
     return CoefficientState(n, {(3, 1): -0.4, (top, 0): 0.3, (1, 2): 0.4, (0, 5): 0.1, (0, top): -0.2})
@@ -683,7 +689,7 @@ def tied_table(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_max_names_the_first_largest_moment(n):
     """Read from the moment vector (n <= 4) or the stored moments (n > 4),
-    the p = infinity rung names the first largest |m| in table.strings()
+    the p = infinity rung names the first largest |m| in ascending key
     order."""
     report = check_p_uncertainty(tied_table(n), math.inf)
     assert report.margin == 0.6
@@ -840,7 +846,22 @@ class TestLadderPaths:
         assert first == second
         # The kept table is no part of the state's value.
         assert state == pr_box_state()
-        assert state.to_json() == pr_box_state().to_json()
+        assert json.dumps(state.to_json_dict(), sort_keys=True) == json.dumps(
+            pr_box_state().to_json_dict(), sort_keys=True
+        )
+
+    def test_tol_reaches_the_table_conversion(self):
+        """A table one part in 10**6 off normalization converts at the
+        rungs' own ``tol``, not at the default."""
+        table = {(1,): [0.5 + 1e-6, 0.5], (2,): [0.5, 0.5], (3,): [0.5, 0.5]}
+        state = GnstState.from_table(1, table, check=False)
+        result = classify_state(state, 2.0, tol=1e-3)
+        assert result.level == "quantum-consistent"
+        for rung in (check_local_moments, check_commuting_moments):
+            assert rung(state, tol=1e-3).passed
+        assert check_p_uncertainty(state, 2.0, tol=1e-3).passed
+        with pytest.raises(ValidationError, match="sum to 1.000001"):
+            classify_state(state, 2.0)
 
     @pytest.mark.parametrize(
         "state",
@@ -901,8 +922,8 @@ class TestLadderPaths:
 
 def swap_circuit(n, pairs):
     """System transpositions, each as three CNOTs."""
-    ops = [("CNOT", *pair) for i, j in pairs for pair in ((i, j), (j, i), (i, j))]
-    return CliffordCircuit.from_ops(n, *ops)
+    gates = [("CNOT", pair) for i, j in pairs for pair in ((i, j), (j, i), (i, j))]
+    return CliffordCircuit(n, tuple(gates))
 
 
 class TestCliffordInvariance:
@@ -980,7 +1001,7 @@ class TestClassification:
     def test_local_violation_is_p_bin(self):
         table = moments_from_probabilities(pr_box_state())
         coeff = CoefficientState(2, {k: table.value(PauliString.hermitian(2, *k)) for k in table.keys()})
-        circuit = CliffordCircuit.from_ops(2, ("CNOT", 0, 1))
+        circuit = CliffordCircuit(2, (("CNOT", (0, 1)),))
         image = apply_clifford(circuit, coeff)
         result = classify_state(image, math.inf)
         assert result.level == "p-bin"

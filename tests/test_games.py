@@ -56,7 +56,7 @@ class TestOptimalState:
         mu = 2.0**-0.5
         expected = {"ZZ": 1.0, "XX": mu, "XY": mu, "YX": mu, "YY": -mu}
         for text, value in expected.items():
-            assert state.expectation(PauliString.from_text(text)) == pytest.approx(
+            assert state.value(PauliString.from_text(text)) == pytest.approx(
                 value, abs=1e-12
             )
         assert len(state.keys()) == 5
@@ -64,8 +64,8 @@ class TestOptimalState:
     def test_equatorial_weights(self):
         state = equatorial_state(3)
         mu = 2.0 ** (-1.0 / 3.0)
-        assert state.expectation(PauliString.from_text("X")) == pytest.approx(mu)
-        assert state.expectation(PauliString.from_text("Y")) == pytest.approx(mu)
+        assert state.value(PauliString.from_text("X")) == pytest.approx(mu)
+        assert state.value(PauliString.from_text("Y")) == pytest.approx(mu)
 
     @pytest.mark.parametrize("p", EXPONENTS)
     def test_uncertainty_tight(self, p):

@@ -52,6 +52,34 @@ def test_every_import_is_used(path):
     assert unused_imports(path) == []
 
 
+def undefined_exports(path: Path) -> list[str]:
+    """Names in a module's ``__all__`` that no module-level def, class
+    or assignment of that module binds."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+        elif isinstance(node, ast.Assign):
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            defined |= names
+    return [name for name in exported if name not in defined]
+
+
+SUBMODULES = sorted(p for p in ROOT.glob("src/boxworld/*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", SUBMODULES, ids=lambda p: p.stem)
+def test_every_export_is_defined_in_its_module(path):
+    # A name listed in __all__ but imported from elsewhere is a second
+    # spelling of the defining module's name.
+    assert undefined_exports(path) == []
+
+
 LOWER_LAYERS = ("errors", "pauli", "states", "rac", "games", "infotasks")
 UPPER_LAYERS = {"constraints", "oracle", "cli"}
 

@@ -45,10 +45,10 @@ class TestDense:
                         n, int(rng.integers(0, 2**n)), int(rng.integers(0, 2**n))
                     )
                     trace = float(np.trace(oracle.dense(s) @ rho).real)
-                    assert abs(state.expectation(s) - trace) < 1e-12
+                    assert abs(state.value(s) - trace) < 1e-12
 
     def test_circuit_unitary(self):
-        circuit = CliffordCircuit.from_ops(2, ("H", 0), ("CNOT", 0, 1))
+        circuit = CliffordCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
         u = oracle.dense(circuit)
         assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 

@@ -65,8 +65,8 @@ class TestParams:
 
 class TestIndexMap:
     def test_settings_map_order(self):
-        addresses = IndexMap.settings_map(1).addresses
-        assert [a.labels for a in addresses] == [(1,), (2,), (3,)]
+        index_map = IndexMap.settings_map(1)
+        assert [index_map.address_of(j).labels for j in (1, 2, 3)] == [(1,), (2,), (3,)]
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -144,7 +144,8 @@ class TestIdentityDefaultMap:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_gnst_default_equals_settings_map(self, n):
-        assert IndexMap.settings_map(n).addresses == all_settings(n)
+        index_map = IndexMap.settings_map(n)
+        assert tuple(index_map.address_of(j) for j in range(1, 3**n + 1)) == all_settings(n)
         for bits in self._samples(n):
             state = rac_encode_gnst(bits, n)
             assert state.signs == tuple(1 - 2 * b for b in bits)
@@ -215,14 +216,14 @@ class TestCoefficientEncoding:
         state = rac_encode_pbin(bits, 2, 2)
         lam = 5.0**-0.5
         for s in hermitian_basis(2):
-            assert state.expectation(s) == pytest.approx(lam)
+            assert state.value(s) == pytest.approx(lam)
 
     def test_restricted_layout(self):
         bits = [1] * 9
         state = rac_encode_pbin(bits, 2, 2, restrict_to_xyz=True)
         assert len(state.keys()) == 9
         for s in full_support_strings(2):
-            assert state.expectation(s) == pytest.approx(-(5.0**-0.5))
+            assert state.value(s) == pytest.approx(-(5.0**-0.5))
         # decode auto-detects the restricted map
         bit, _ = rac_decode(state, 1)
         assert bit == 1

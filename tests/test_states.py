@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -80,7 +81,7 @@ class TestFiducialSetting:
 
     def test_pauli_letters(self):
         s = FiducialSetting((1, 2, 3))
-        assert s.pauli().letters() == "XZY"
+        assert s.subset_pauli(range(s.n)).letters() == "XZY"
         assert s.n == 3
 
     def test_subset_pauli(self):
@@ -96,7 +97,7 @@ class TestFiducialSetting:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_labels_are_digits(self, n):
         for setting in all_settings(n):
-            assert setting.pauli().basis_key() == digit_masks(setting.labels)
+            assert setting.subset_pauli(range(n)).basis_key() == digit_masks(setting.labels)
 
     def test_all_settings_lexicographic(self):
         labels = [s.labels for s in all_settings(2)]
@@ -141,19 +142,19 @@ class TestCoefficientState:
     def test_expectation_reads_coefficients(self):
         state = CoefficientState(1, {(1, 0): 0.5})
         x = PauliString.single(1, 0, "X")
-        assert state.expectation(x) == 0.5
-        assert state.expectation(-x) == -0.5
-        assert state.expectation(PauliString.identity(1)) == 1.0
+        assert state.value(x) == 0.5
+        assert state.value(-x) == -0.5
+        assert state.value(PauliString.identity(1)) == 1.0
 
     def test_expectation_dimension_mismatch(self):
         state = CoefficientState(1, {(1, 0): 0.5})
         with pytest.raises(DimensionError):
-            state.expectation(PauliString.identity(2))
+            state.value(PauliString.identity(2))
 
     def test_expectation_non_hermitian_rejected(self):
         state = CoefficientState(1, {(1, 0): 0.5})
         with pytest.raises(DomainError):
-            state.expectation(PauliString(1, 1, 1, 0))
+            state.value(PauliString(1, 1, 1, 0))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_expectation_matches_dense_trace(self, rng, n):
@@ -167,11 +168,12 @@ class TestCoefficientState:
                 for _ in range(6)
             ]:
                 expected = float(np.trace(oracle.dense(s) @ rho).real)
-                assert abs(state.expectation(s) - expected) < 1e-12
+                assert abs(state.value(s) - expected) < 1e-12
 
     def test_json_round_trip(self):
         state = CoefficientState(2, {(1, 2): -0.5, (3, 3): 0.25})
-        again = CoefficientState.from_json(state.to_json())
+        text = json.dumps(state.to_json_dict(), sort_keys=True)
+        again = CoefficientState.from_json_dict(json.loads(text))
         assert again == state
         data = state.to_json_dict()
         assert data["kind"] == "coeff"
@@ -210,7 +212,7 @@ class TestTensorProduct:
         right = CoefficientState(1, {(0, 1): v})
         joint = tensor_product(left, right)
         xz = PauliString.from_text("XZ")
-        assert abs(joint.expectation(xz) - u * v) < 1e-12
+        assert abs(joint.value(xz) - u * v) < 1e-12
 
 
 class TestClifford:
@@ -221,10 +223,6 @@ class TestClifford:
             CliffordCircuit(2, (("CNOT", (1, 1)),))
         with pytest.raises(DimensionError):
             CliffordCircuit(1, (("H", (1,)),))
-
-    def test_from_ops(self):
-        circuit = CliffordCircuit.from_ops(2, ("H", 0), ("CNOT", 0, 1))
-        assert circuit.gates == (("H", (0,)), ("CNOT", (0, 1)))
 
     def test_known_cnot_images(self):
         cnot = CliffordCircuit(2, (("CNOT", (0, 1)),))
@@ -397,22 +395,18 @@ class TestGnstState:
         assert box.setting_moment(FiducialSetting((2, 2))) == -1.0
         assert box.subset_moment(FiducialSetting((1, 1)), (0,)) == 0.0
 
-    def test_has_setting(self):
-        box = pr_box_state()
-        assert box.has_setting(FiducialSetting((1, 2)))
-        assert not box.has_setting(FiducialSetting((3, 3)))
-
     def test_json_round_trip_both_kinds(self):
         compact = GnstState.compact(1, 0.5, (1, -1, 1))
-        assert GnstState.from_json(compact.to_json()) == compact
         box = pr_box_state()
-        assert GnstState.from_json(box.to_json()) == box
+        for state in (compact, box):
+            text = json.dumps(state.to_json_dict(), sort_keys=True)
+            assert GnstState.from_json_dict(json.loads(text)) == state
 
     def test_marginalize_pr_box_is_unbiased(self):
         single = marginalize(pr_box_state(), [0])
         assert single.n == 1
         for labels in ((1,), (2,)):
-            if single.has_setting(FiducialSetting(labels)):
+            if FiducialSetting(labels) in single.settings():
                 assert abs(single.setting_moment(FiducialSetting(labels))) < 1e-12
 
     def test_marginalize_validates_systems(self):
@@ -704,7 +698,7 @@ def quantum_table(state, settings):
     subsets = [c for r in range(n + 1) for c in itertools.combinations(range(n), r)]
     table = {}
     for setting in settings:
-        moments = [state.expectation(setting.subset_pauli(c)) for c in subsets]
+        moments = [state.value(setting.subset_pauli(c)) for c in subsets]
         table[setting.labels] = [
             sum(m * outcome_product([o[i] for i in c]) for m, c in zip(moments, subsets)) / 2**n
             for o in all_outcomes(n)
@@ -769,9 +763,10 @@ class TestMomentTransform:
         signs = [int(s) for s in rng.choice((-1, 1), size=3**n)]
         table = moments_from_probabilities(GnstState.compact(n, 0.375, signs))
         assert not table.strict
-        assert table.keys() == tuple(sorted(s.pauli().basis_key() for s in all_settings(n)))
-        for setting, sign in zip(all_settings(n), signs):
-            assert table.value(setting.pauli()) == sign * 0.375
+        strings = [s.subset_pauli(range(n)) for s in all_settings(n)]
+        assert table.keys() == tuple(sorted(s.basis_key() for s in strings))
+        for string, sign in zip(strings, signs):
+            assert table.value(string) == sign * 0.375
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_inversion_matches_loop_formula(self, m, rng):
@@ -829,6 +824,6 @@ class TestMomentTransform:
 
 class TestFullSupportConsistency:
     def test_setting_paulis_enumerate_full_support(self):
-        settings = [s.pauli().letters() for s in all_settings(2)]
+        settings = [s.subset_pauli(range(2)).letters() for s in all_settings(2)]
         full = [s.letters() for s in full_support_strings(2)]
         assert settings == full
