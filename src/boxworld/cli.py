@@ -76,6 +76,16 @@ def _at_least(minimum: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite, non-negative number")
+    return value
+
+
 def _new_file(text: str) -> str:
     if Path(text).is_dir():
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
@@ -126,7 +136,7 @@ def _emit_csv(header: tuple[str, ...], rows: list[tuple]) -> None:
     sys.stdout.write(out.getvalue())
 
 
-def _load_state(path: str):
+def _load_state(path: str, tol: float = states.DEFAULT_TOL):
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -137,9 +147,9 @@ def _load_state(path: str):
         raise DomainError(f"{path} does not hold a JSON object")
     kind = data.get("kind")
     if kind == "coeff":
-        return states.CoefficientState.from_json_dict(data)
+        return states.CoefficientState.from_json_dict(data, tol=tol)
     if kind in ("gnst", "gnst-table"):
-        return states.GnstState.from_json_dict(data)
+        return states.GnstState.from_json_dict(data, tol=tol)
     raise DomainError(f"unrecognized state kind {kind!r} in {path}")
 
 
@@ -384,7 +394,7 @@ def _validate(a) -> int:
     """Classify a stored state in the validity hierarchy."""
     from . import constraints
 
-    state = _load_state(a.file)
+    state = _load_state(a.file, a.tol)
     result = constraints.classify_state(state, a.p, tol=a.tol)
     for report in result.reports:
         status = "pass" if report.passed else "FAIL"
@@ -533,7 +543,7 @@ def _parser(argv: list[str]) -> _Parser:
     seed_text = os.environ.get("BOXWORLD_SEED", "").strip() or "0"
     p = _opt("--p", type=_exponent, default="inf", help="power exponent, 'inf' allowed")
     seed = _opt("--seed", type=_at_least(0), default=seed_text, help="RNG seed, BOXWORLD_SEED if unset")
-    tol = _opt("--tol", type=float, default=states.DEFAULT_TOL, help="tolerance")
+    tol = _opt("--tol", type=_tolerance, default=states.DEFAULT_TOL, help="tolerance")
     fmt = _opt("--format", dest="fmt", choices=("json", "csv"), default="json", help="output format")
     theory = _opt("--theory", default="p-gnst", help="gnst, p-gnst, p-bin or p-box")
     n = _opt("--n", type=int, required=True, help="carrier systems")

@@ -36,9 +36,9 @@ limit.
 
 Only a strict table can leave a moment unknown: its vector reads NaN
 there, while a lenient table's reads 0, and every table refuses
-non-finite values.  So the passes over unknown moments (skipping and
-counting undetermined collections, mapping NaN to zero) run on strict
-tables only.
+non-finite values.  An unknown moment makes its collection's minimum
+NaN, which one strict-only pass after the positivity transform skips
+and counts; the density rung reads a strict table's NaN as zero.
 
 Every report follows one margin convention: a check passes iff its
 margin is at least ``-tol``.  Uncertainty margins are ``1 - worst power
@@ -480,10 +480,10 @@ def disjoint_support_collections(n: int) -> Iterator[tuple[PauliString, ...]]:
 
 
 def _group(generators: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Packed keys ``a | b << n`` (int16) and signs (int8) of the groups,
-    up to sign, that rows of independent, pairwise commuting Hermitian
-    basis strings generate.  :func:`_plan` widens them to the gather-ready
-    ``intp`` and float64 once per n.
+    """Packed keys ``a | b << n`` (``intp``) and signs (float64) of the
+    groups, up to sign, that rows of ``intp`` keys of independent,
+    pairwise commuting Hermitian basis strings generate: at any n, ready
+    to gather from :meth:`MomentTable.vector`.
 
     Generator k fills columns 2**k to 2**(k+1) of a row with the
     products of its first 2**k elements, so bit k of an element's index
@@ -494,16 +494,16 @@ def _group(generators: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    ones = np.array([j.bit_count() for j in range(1 << n)], dtype=np.int8)
+    ones = np.array([j.bit_count() for j in range(1 << n)], dtype=np.intp)
     weight = lambda k: ones[k & k >> n & (1 << n) - 1]
     rows, m = generators.shape
-    keys = np.zeros((rows, 1 << m), dtype=np.int16)  # 4**n <= 1024 entries
-    phases = np.zeros_like(keys, dtype=np.int8)
+    keys = np.zeros((rows, 1 << m), dtype=np.intp)
+    phases = np.zeros_like(keys)
     for k in range(m):
         g, old, new = generators[:, k, None], slice(0, 1 << k), slice(1 << k, 2 << k)
         phases[:, new] = (phases[:, old] + weight(g) + 2 * ones[keys[:, old] >> n & g]) & 3
         keys[:, new] = keys[:, old] ^ g
-    return keys, 1 - ((phases - weight(keys)) & 2)
+    return keys, 1.0 - ((phases - weight(keys)) & 2)
 
 
 @dataclass(frozen=True)
@@ -536,9 +536,8 @@ def _plan(
         by_count.setdefault(len(gens), []).append(row)
     groups = []
     for rows in by_count.values():
-        idx, signs = _group(np.array([generators[row] for row in rows], dtype=np.int16), n)
-        rows = np.array(rows, dtype=np.intp)
-        groups.append((rows, idx.astype(np.intp), signs.astype(float), _characters(idx.shape[1])))
+        idx, signs = _group(np.array([generators[row] for row in rows], dtype=np.intp), n)
+        groups.append((np.array(rows, dtype=np.intp), idx, signs, _characters(idx.shape[1])))
     return _Plan(named, tuple(sorted(groups, key=lambda group: group[1].shape[1])))
 
 
@@ -560,17 +559,17 @@ def _positivity_report(
     """Smallest group-matrix eigenvalue over a plan's collections.
 
     Each collection's subset moments are read from the table's moment
-    vector; their Walsh-Hadamard transform is the spectrum.  Only a
-    strict table can leave a collection undetermined (a NaN moment);
-    such collections are skipped and counted, and a lenient table skips
-    none.  A group that fits in one block of ``_BLOCK_MOMENTS`` moments
-    is read whole.  The first collection reaching the minimum names the
-    report's worst set.
+    vector; their Walsh-Hadamard transform is the spectrum.  The groups
+    cover every row of ``plan.named``.  An unknown (NaN) moment, which
+    only a strict table has, makes its collection's minimum NaN; a pass
+    on strict tables skips and counts those collections.  A group that
+    fits in one block of ``_BLOCK_MOMENTS`` moments is read whole.  The
+    first collection reaching the minimum names the report's worst set.
     """
     import numpy as np
 
-    vec, strict = table.vector(), table.strict  # only strict tables have NaN moments
-    smallest = np.full(len(plan.named), np.nan if strict else np.inf)
+    vec = table.vector()
+    smallest = np.empty(len(plan.named))
     for rows, idx, signs, characters in plan.groups:
         step = _BLOCK_MOMENTS // idx.shape[1]
         if len(rows) <= step:
@@ -581,14 +580,11 @@ def _positivity_report(
             )
         for block_rows, block_idx, block_signs in blocks:
             mu = block_signs * vec[block_idx]
-            if strict:
-                known = ~np.isnan(mu).any(axis=1)
-                block_rows, mu = block_rows[known], mu[known]
             # The minimum down the columns of the transposed spectra is the
             # one along their short rows, many times faster.
             smallest[block_rows] = (mu @ characters).T.copy().min(axis=0)
     skipped = 0
-    if strict:
+    if table.strict:  # only strict tables have NaN moments
         unknown = np.isnan(smallest)
         skipped = int(np.count_nonzero(unknown))
         smallest[unknown] = np.inf
@@ -598,13 +594,8 @@ def _positivity_report(
         row = int(smallest.argmin())
         margin = float(smallest[row])
         worst = tuple(map(_basis_texts(table.n).__getitem__, plan.named[row]))
-    return ValidationReport(
-        constraint,
-        margin >= -tol,
-        margin,
-        worst,
-        {"collections": evaluated, "skipped": skipped},
-    )
+    detail = {"collections": evaluated, "skipped": skipped}
+    return ValidationReport(constraint, margin >= -tol, margin, worst, detail)
 
 
 def check_local_moments(
@@ -655,33 +646,31 @@ def _density_matrix(table: MomentTable) -> np.ndarray:
     """rho = 2**-n (identity + sum over known moments of m_k sigma_k).
 
     The basis element sigma_(a,b) = i**|a & b| X**a Z**b maps |j> to
-    i**|a & b| (-1)**|j & b| |j xor a>, so entry (j xor a, j) of 2**n rho
-    is the Walsh-Hadamard transform over b of m_(a,b) i**|a & b|, taken
-    at j.  Bit i of a basis index is system i, the reverse of the kron
-    order; the spectrum does not depend on the order.  Unknown (NaN)
-    moments, which only a strict table has, count as zero.
+    i**|a & b| (-1)**|j & b| |j xor a>, so entry (j xor a, j) of rho is
+    the Walsh-Hadamard transform over b of m_(a,b) 2**-n i**|a & b|,
+    taken at j.  Bit i of a basis index is system i, the reverse of the
+    kron order; the spectrum does not depend on the order.  Unknown
+    (NaN) moments, which only a strict table has, count as zero.
     """
     import numpy as np
 
-    dim = 1 << table.n
     phases, characters, gather = _density_tables(table.n)
     vec = np.nan_to_num(table.vector()) if table.strict else table.vector()
-    terms = vec.reshape(dim, dim).T  # rows a, columns b
-    columns = (terms * phases) @ characters
-    return columns[gather] / dim
+    terms = vec.reshape(phases.shape).T  # rows a, columns b
+    return ((terms * phases) @ characters)[gather]
 
 
 @lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
 def _density_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The phases i**|a & b| (rows a, columns b), the characters of
-    Z_2^n and the index of entry (j xor a, j) that :func:`_density_matrix`
-    reads at n systems."""
+    """The phases 2**-n i**|a & b| (rows a, columns b; the power of two
+    scales exactly), the characters of Z_2^n and the index of entry
+    (j xor a, j) that :func:`_density_matrix` reads at n systems."""
     import numpy as np
 
     dim = 1 << n
     idx = np.arange(dim)
     weight = np.array([j.bit_count() for j in range(dim)])[idx[:, None] & idx]
-    phases = np.array([1, 1j, -1, -1j])[weight & 3]
+    phases = np.array([1, 1j, -1, -1j])[weight & 3] / dim
     characters, rows = _characters(dim), idx[:, None] ^ idx
     for array in (phases, characters, rows, idx):
         array.flags.writeable = False

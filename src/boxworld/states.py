@@ -305,7 +305,7 @@ class CoefficientState(MomentTable):
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CoefficientState":
+    def from_json_dict(cls, data: Mapping, tol: float = DEFAULT_TOL) -> "CoefficientState":
         if data.get("kind") != "coeff":
             raise ValidationError(f"expected kind 'coeff', got {data.get('kind')!r}")
         with _reading_json():
@@ -316,7 +316,7 @@ class CoefficientState(MomentTable):
                 if p.n != n:
                     raise DimensionError("term length disagrees with declared n")
                 coeffs[p.basis_key()] = float(term["coeff"])
-            return cls(n, coeffs)
+            return cls(n, coeffs, tol)
 
 
 def tensor_product(first: CoefficientState, second: CoefficientState) -> CoefficientState:
@@ -625,14 +625,14 @@ class GnstState:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "GnstState":
+    def from_json_dict(cls, data: Mapping, tol: float = DEFAULT_TOL) -> "GnstState":
         kind = data.get("kind")
         with _reading_json():
             if kind == "gnst":
-                return cls.compact(int(data["n"]), data["lambda"], data["signs"])
+                return cls.compact(int(data["n"]), data["lambda"], data["signs"], tol)
             if kind == "gnst-table":
                 table = {tuple(s["k"]): s["p"] for s in data["settings"]}
-                return cls.from_table(int(data["n"]), table)
+                return cls.from_table(int(data["n"]), table, tol=tol)
         raise ValidationError(f"expected a gnst kind, got {kind!r}")
 
     def __eq__(self, other: object) -> bool:

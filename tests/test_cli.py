@@ -370,6 +370,39 @@ class TestValidateCommand:
         errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1 and message in errors[0]
 
+    @pytest.mark.parametrize(
+        "content, p, message",
+        [
+            (
+                {
+                    "kind": "gnst-table",
+                    "n": 1,
+                    "settings": [{"k": [1], "p": [0.500001, 0.5]}, {"k": [2], "p": [0.5, 0.5]}, {"k": [3], "p": [0.5, 0.5]}],
+                },
+                "2",
+                "probabilities for (1,) sum to 1.0000010000000001",
+            ),
+            # Three moments of 1.000001 fail the relation at p = 2, so read it at p = inf.
+            ({"kind": "gnst", "n": 1, "lambda": 1.000001, "signs": [1, 1, 1]}, "inf", "|lam| = 1.000001 exceeds 1"),
+            ({"kind": "coeff", "n": 1, "terms": [{"pauli": "X", "coeff": 1.000001}]}, "2", "violates |s| <= 1"),
+        ],
+        ids=["table", "compact", "coefficients"],
+    )
+    def test_tol_reaches_the_load_time_check(self, runner, tmp_path, content, p, message):
+        """A state one part in 10**6 off is loaded and classified at
+        --tol 1e-3, and refused as it loads at the default tolerance."""
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(content))
+        result = invoke(runner, "validate", "--file", str(path), "--p", p, "--tol", "1e-3")
+        assert result.exit_code == 0
+        kind = CoefficientState if content["kind"] == "coeff" else GnstState
+        expected = classify_state(kind.from_json_dict(content, tol=1e-3), float(p), tol=1e-3)
+        assert json.loads(result.stdout) == json.loads(json.dumps(expected.to_json_dict()))
+        result = invoke(runner, "validate", "--file", str(path), "--p", p)
+        assert (result.exit_code, result.stdout) == (2, "")
+        errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and message in errors[0]
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_table_file_reads_as_its_compact_code(self, runner, tmp_path, n):
         code = rac_encode_pgnst(np.random.default_rng(n).integers(0, 2, 3**n).tolist(), n, 2)

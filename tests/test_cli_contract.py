@@ -58,6 +58,9 @@ USAGE_ERRORS = {
     "missing-n": {"command": "rac params"},
     "abbreviated-option": {"command": "xor", "s": 3},
     "p-list-not-a-number": {"command": "psphere", "p_list": "1,abc"},
+    "tol-nan": {"command": "chsh", "p": 2, "tol": "nan"},
+    "tol-negative": {"command": "xor", "game": "chsh", "tol": -1},
+    "tol-inf": {"command": "chsh", "p": 2, "tol": "inf"},
     "unknown-command": {"command": "frob"},
     "bare-group": {"command": "rac"},
     "no-command": {},

@@ -468,6 +468,13 @@ class TestBatchedRungs:
             assert sorted(covered) == list(range(len(collections)))
             assert sizes == sorted(set(sizes))
 
+    def test_plans_are_built_gather_ready_past_seven_systems(self):
+        """Y on system 7 of eight: its packed key needs 16 bits, past int16."""
+        k = 1 << 7 | 1 << 15
+        ((rows, idx, signs, _),) = constraints._plan(((k,),), [[k]], 8).groups
+        assert (rows.dtype, idx.dtype, signs.dtype) == (np.intp, np.intp, np.float64)
+        assert (rows.tolist(), idx.tolist(), signs.tolist()) == ([0], [[0, k]], [[1.0, 1.0]])
+
     @pytest.mark.parametrize("plan, n, mib", [("_local_plan", 5, 2.0), ("_commuting_plan", 4, 0.625)])
     def test_plans_stay_small(self, plan, n, mib):
         """The intp and float64 plans at each rung's system limit hold
