@@ -4,10 +4,12 @@ The checks form a hierarchy.  The p-uncertainty relation bounds the
 power sum of moments over every pairwise anti-commuting set.  One body
 checks it at every n, from one input: the table's stored non-zero
 moments as pairs of packed key ``a | b << n`` and magnitude |m|, in key
-order.  Up to four systems a maximum-weight clique search finds the
-worst set, and a repeated list of pairs is answered from a bounded cache
-(256 profiles, under 1 MB); beyond that a seeded search over canonical
-families of packed keys looks for violations.  Positivity of moment
+order.  At finite p one maximum-weight clique search runs at every n,
+capped at ``_SEARCH_SETS`` examined sets: a search that finishes proves
+its worst set (``exhaustive``), one that stops at the cap reports the
+heaviest set found (``budgeted``).  Up to four systems, where a packed
+key fits one byte, a repeated list of pairs is answered from a bounded
+cache (256 profiles, under 1 MB).  Positivity of moment
 matrices over disjoint-support collections tightens it; the same
 condition over maximal commuting collections tightens it further; and
 positive-semidefiniteness of the density matrix reconstructed from the
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,12 +61,10 @@ from .pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
     _basis_keys,
-    gamma_set,
     lagrangian_rows,
 )
 from .states import (
     DEFAULT_TOL,
-    CliffordCircuit,
     CoefficientState,
     GnstState,
     MomentTable,
@@ -73,7 +72,6 @@ from .states import (
     _collection_products,
     _column,
     _marginals,
-    conjugate_pauli,
     moments_from_probabilities,
 )
 
@@ -168,32 +166,6 @@ def _moment_table(state: StateLike, tol: float = DEFAULT_TOL) -> MomentTable:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _canonical_families(n: int) -> tuple[tuple[int, ...], ...]:
-    """The ladder set and its distinct images under 64 random Clifford
-    circuits of eight gates each (seed 0), in circuit order, as rows of
-    packed keys ``a | b << n``."""
-    rng = random.Random(0)
-    names = ["H", "X", "Y", "Z"] + (["CNOT"] if n > 1 else [])
-    ladder = tuple(gamma_set(n))
-    families = [tuple(g.a | g.b << n for g in ladder)]
-    seen = {frozenset(families[0])}
-    for _ in range(64):
-        gates = []
-        for _ in range(8):
-            name = rng.choice(names)
-            if name == "CNOT":
-                gates.append((name, tuple(rng.sample(range(n), 2))))
-            else:
-                gates.append((name, (rng.randrange(n),)))
-        circuit = CliffordCircuit(n, tuple(gates))
-        image = tuple(s.a | s.b << n for s in (conjugate_pauli(circuit, g) for g in ladder))
-        if frozenset(image) not in seen:
-            seen.add(frozenset(image))
-            families.append(image)
-    return tuple(families)
-
-
 @lru_cache(maxsize=MAX_LOCAL_SYSTEMS)
 def _basis_texts(n: int) -> tuple[str, ...]:
     """Text of the Hermitian basis string of every packed key ``a | b << n``."""
@@ -201,42 +173,53 @@ def _basis_texts(n: int) -> tuple[str, ...]:
     return tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in range(1 << 2 * n))
 
 
+# Sets the uncertainty search examines before it stops and reports the
+# heaviest found as "budgeted": a few tens of milliseconds of search.
+# No n <= 4 ladder family comes near it; the most seen is 530 sets.
+_SEARCH_SETS = 10_000
+
+# Up to this many systems a packed key a | b << n fits one byte, which
+# keys the profile cache and indexes the per-n basis texts.
+_BYTE_KEY_SYSTEMS = 4
+
 # Per bit s of a byte, the byte map to b"1" where bit s is set, else b"0":
 # runs of 2**s zeros and 2**s ones.
 _BIT_DIGITS = tuple((b"0" * (1 << s) + b"1" * (1 << s)) * (128 >> s) for s in range(8))
 
 
-def _anticommuting_masks(n: int, keys: Sequence[int]) -> list[int]:
-    """Bit j of entry i is set iff the strings with packed keys
-    ``keys[i]`` and ``keys[j]`` (``a | b << n``) anti-commute: the parity
-    of |a_i & b_j| + |b_i & a_j|.
+def _anticommuting_masks(n: int, keys: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The tables ``from_a`` and ``from_b``, over every ``a`` and ``b`` of
+    n bits, whose XOR ``from_a[a] ^ from_b[b]`` has bit j set iff the
+    string with packed key ``a | b << n`` anti-commutes with ``keys[j]``:
+    the parity of |a & b_j| + |b & a_j|.
 
     Each of the 2n key bits becomes one mask over the keys, read by a
-    ``bytes.translate`` of the keys' bytes (ceil(2n / 8) per key).  Entry
-    i is then ``from_a[a_i] ^ from_b[b_i]``: the XOR of the b-bit masks
-    over the bits set in a_i, and of the a-bit masks over those in b_i.
+    ``bytes.translate`` of the keys' bytes (ceil(2n / 8) per key).
+    ``from_a[a]`` is the XOR of the b-bit masks over the bits set in a,
+    and ``from_b[b]`` that of the a-bit masks over those in b.  The
+    tables hold 2**(n+1) masks of len(keys) bits, so a search reads a
+    neighbourhood per visit instead of keeping one mask per key.
     """
-    if not keys:
-        return []
     width = (2 * n + 7) // 8
     data = bytes(keys) if width == 1 else b"".join(k.to_bytes(width, "little") for k in keys)
     # Key i's digit lands at position i from the right, so it is bit i.
-    bits = [int(data[t // 8 :: width].translate(_BIT_DIGITS[t % 8])[::-1], 2) for t in range(2 * n)]
+    bits = [int(data[t // 8 :: width].translate(_BIT_DIGITS[t % 8])[::-1] or b"0", 2) for t in range(2 * n)]
     from_a, from_b = [0], [0]
     for q in range(n):  # the entries with bit q set follow those without
         from_a += [m ^ bits[n + q] for m in from_a]
         from_b += [m ^ bits[q] for m in from_b]
-    low = (1 << n) - 1
-    return [from_a[k & low] ^ from_b[k >> n] for k in keys]
+    return from_a, from_b
 
 
 def _heaviest_anticommuting_set(
     n: int, keys: Sequence[int], weights: Sequence[float]
-) -> tuple[float, list[int], int]:
-    """The pairwise anti-commuting subset of ``keys`` (packed exponents
-    ``a | b << n``, ascending) with the largest total of the aligned
-    ``weights``, its members and the number of anti-commuting sets
-    examined.
+) -> tuple[float, list[int], int, bool]:
+    """The heaviest pairwise anti-commuting subset of ``keys`` (packed
+    exponents ``a | b << n``, ascending) that a search of at most
+    ``_SEARCH_SETS`` sets finds, by the total of the aligned
+    ``weights``: its total, its members, the number of anti-commuting
+    sets examined and whether the search finished, which makes the set
+    the heaviest of all.
 
     The set is a maximum-weight clique of the anti-commutation graph,
     found by branch and bound (Carraghan and Pardalos, Oper. Res. Lett.
@@ -245,18 +228,21 @@ def _heaviest_anticommuting_set(
     2n + 1 strings pairwise anti-commute, so a branch is pruned once its
     weight plus its 2n + 1 - |clique| heaviest candidates cannot beat the
     best set found.  Every path adds weights heaviest first, as the bound
-    does, so the pruning is exact in floating point.  Each vertex's
-    neighbours are one Python int from :func:`_anticommuting_masks`, read
-    off the symplectic form of the keys.
+    does, so the pruning is exact in floating point.  A visited vertex's
+    neighbours are one Python int, the XOR of two entries of the tables
+    of :func:`_anticommuting_masks`, read off the symplectic form of the
+    keys.  A search that would examine one set more than the cap stops
+    there and unwinds, each level at its next step.
     """
     order = sorted(range(len(keys)), key=weights.__getitem__, reverse=True)
     keys = [keys[i] for i in order]
     w = [weights[i] for i in order]
-    adj = _anticommuting_masks(n, keys)
-    best, best_mask, examined = 0.0, 0, 0
+    from_a, from_b = _anticommuting_masks(n, keys)
+    low, cap = (1 << n) - 1, _SEARCH_SETS
+    best, best_mask, examined, finished = 0.0, 0, 0, True
 
     def extend(total: float, mask: int, candidates: int, room: int) -> None:
-        nonlocal best, best_mask, examined
+        nonlocal best, best_mask, examined, finished
         while candidates:
             bound, rest, left = total, candidates, room
             while rest and left:
@@ -265,16 +251,19 @@ def _heaviest_anticommuting_set(
                 left -= 1
             if bound <= best:
                 return
+            if examined == cap:
+                finished = False
+                return
             v = (candidates & -candidates).bit_length() - 1
-            grown, grown_mask = total + w[v], mask | 1 << v
+            grown, grown_mask, k = total + w[v], mask | 1 << v, keys[v]
             examined += 1
             if grown > best:
                 best, best_mask = grown, grown_mask
-            extend(grown, grown_mask, candidates & adj[v], room - 1)
+            extend(grown, grown_mask, candidates & (from_a[k & low] ^ from_b[k >> n]), room - 1)
             candidates &= candidates - 1
 
     extend(0.0, 0, (1 << len(keys)) - 1, 2 * n + 1)
-    return best, [k for i, k in enumerate(keys) if best_mask >> i & 1], examined
+    return best, [k for i, k in enumerate(keys) if best_mask >> i & 1], examined, finished
 
 
 def check_p_uncertainty(
@@ -285,29 +274,29 @@ def check_p_uncertainty(
     Over every pairwise anti-commuting set of Hermitian strings the
     moments must satisfy sum |m|**p <= 1; at p = infinity the relation
     degenerates to |m| <= 1 for every single string.  The exponent and
-    the system count pick the search, and the report's ``mode`` names it:
+    the search's outcome pick the mode the report names:
 
         * ``max``, at p = infinity: the largest single moment, the first
           in ascending key order, by ``(a, b)``, among equals.
-        * ``exhaustive``, up to four systems: the heaviest pairwise
-          anti-commuting subset of the strings with known non-zero
-          moments, by a maximum-weight clique search.  A proof, since
-          zero and unknown moments add nothing to any power sum.  The
-          report's ``sets`` counts the anti-commuting sets the search
-          examined.
-        * ``canonical``, beyond four systems: the standard ladder set
-          plus its images under 64 seeded random Clifford circuits.  A
-          violation search, not a proof of validity; unknown moments
-          count as 0.
+        * ``exhaustive``, at finite p, when the search finishes: the
+          heaviest pairwise anti-commuting subset of the strings with
+          known non-zero moments, by a maximum-weight clique search.  A
+          proof, since zero and unknown moments add nothing to any power
+          sum.
+        * ``budgeted``, at finite p, when the same search stops at its
+          cap of 10,000 examined sets: the heaviest set found by then.
+          A violation search, not a proof of validity.
 
-    At every n the rung reads one input: the table's stored non-zero
+    One search runs at every n; the report's ``sets`` counts the
+    anti-commuting sets it examined, the cap when it stopped there.  At
+    every n the rung reads one input: the table's stored non-zero
     moments as pairs ``(a | b << n, |m|)`` in ascending key order, never
     the signs and never the 4**n moment vector, and the rung is plain
-    Python: it loads no numpy.  Up to four systems a list of pairs seen
-    before at the same n and p is answered from a bounded cache (256
-    profiles keyed by one byte per key and the magnitudes' float64
-    bytes, at most 2.3 KB each, about 0.8 MB when full); above four
-    nothing is cached.  Each call builds
+    Python: it loads no numpy.  Up to four systems, where a packed key
+    fits one byte, a list of pairs seen before at the same n and p is
+    answered from a bounded cache (256 profiles keyed by one byte per
+    key and the magnitudes' float64 bytes, at most 2.3 KB each, about
+    0.8 MB when full); above four nothing is cached.  Each call builds
     its own report, so ``passed`` follows ``tol`` and ``detail`` is a
     fresh dict.  ``sets`` counts the sets the search examined for that
     profile, also when the answer came from the cache.
@@ -322,9 +311,9 @@ def check_p_uncertainty(
     # moment, like an unknown one, adds nothing to a power sum.
     pairs = sorted((a | b << n, abs(float(m))) for (a, b), m in table._values.items() if m)
     keys, magnitudes = [k for k, _ in pairs], [m for _, m in pairs]
-    if n > MAX_COMMUTING_SYSTEMS:
+    if n > _BYTE_KEY_SYSTEMS:
         margin, worst, detail = _uncertainty(n, p, keys, magnitudes)
-    else:  # keys below 4**4 = 256 fit in one byte each
+    else:
         margin, worst, detail = _uncertainty_profile(n, p, bytes(keys), array("d", magnitudes).tobytes())
     return ValidationReport("p-uncertainty", margin >= -tol, margin, worst, dict(detail))
 
@@ -336,7 +325,7 @@ _Uncertainty = tuple[float, tuple[str, ...], tuple[tuple[str, object], ...]]
 @lru_cache(maxsize=256)
 def _uncertainty_profile(n: int, p: float, keys: bytes, magnitudes: bytes) -> _Uncertainty:
     """:func:`_uncertainty` on one byte per packed key and the aligned
-    magnitudes as float64 bytes, up to four systems."""
+    magnitudes as float64 bytes, up to ``_BYTE_KEY_SYSTEMS`` systems."""
     return _uncertainty(n, p, list(keys), array("d", magnitudes).tolist())
 
 
@@ -352,7 +341,7 @@ def _power(m: float, p: float) -> float:
 def _uncertainty(n: int, p: float, keys: Sequence[int], magnitudes: Sequence[float]) -> _Uncertainty:
     """The uncertainty rung at a normalized exponent ``p``, from the
     ascending packed keys ``a | b << n`` of the non-zero moments and
-    their aligned ``magnitudes``: the one place that picks the search."""
+    their aligned ``magnitudes``: the one place that picks the mode."""
     low = (1 << n) - 1
 
     def order(k: int) -> tuple[int, int]:  # ascending key order, (a, b)
@@ -362,20 +351,12 @@ def _uncertainty(n: int, p: float, keys: Sequence[int], magnitudes: Sequence[flo
     if p == math.inf:
         mode, worst_sum = "max", max(magnitudes, default=0.0)
         members = [min((k for k, m in zip(keys, magnitudes) if m == worst_sum), key=order)] if keys else []
-    elif n <= MAX_COMMUTING_SYSTEMS:
-        mode = "exhaustive"
-        weights = [_power(m, p) for m in magnitudes]
-        worst_sum, members, sets = _heaviest_anticommuting_set(n, keys, weights)
-        members.sort(key=order)
     else:
-        mode, families = "canonical", _canonical_families(n)
-        size = dict(zip(keys, magnitudes))
-        worst_sum, members, sets = 0.0, [], len(families)
-        for family in families:
-            total = sum(_power(size[k], p) for k in family if k in size)
-            if total > worst_sum:
-                worst_sum, members = total, family
-    if n <= MAX_COMMUTING_SYSTEMS:  # every key's text is kept per n
+        weights = [_power(m, p) for m in magnitudes]
+        worst_sum, members, sets, finished = _heaviest_anticommuting_set(n, keys, weights)
+        mode = "exhaustive" if finished else "budgeted"
+        members.sort(key=order)
+    if n <= _BYTE_KEY_SYSTEMS:  # every key's text is kept per n
         worst = tuple(map(_basis_texts(n).__getitem__, members))
     else:
         worst = tuple(PauliString.hermitian(n, k & low, k >> n).text() for k in members)

@@ -385,7 +385,13 @@ def random_quantum_state(n: int, rng: np.random.Generator) -> CoefficientState:
 def random_valid_state(
     n: int, p: float, rng: np.random.Generator
 ) -> CoefficientState:
-    """A random sparse state scaled inside the p-uncertainty body."""
+    """A random sparse state scaled inside the p-uncertainty body.
+
+    Raises:
+        ResourceError: at finite p, when the uncertainty search stops at
+            its cap (``budgeted``), since only a finished search
+            certifies the scale.
+    """
     from .constraints import check_p_uncertainty
 
     strings = tuple(hermitian_basis(n))
@@ -399,8 +405,11 @@ def random_valid_state(
         n, {s.basis_key(): float(v) for s, v in zip(strings, raw) if v}
     )
     report = check_p_uncertainty(base, p)
-    if report.detail["mode"] == "canonical":  # a search cannot certify the scale
-        raise ResourceError("a certified scale is limited to n <= 4 at finite p")
+    if report.detail["mode"] == "budgeted":
+        raise ResourceError(
+            f"the uncertainty search stopped at its cap of {report.detail['sets']} sets, "
+            "so no scale is certified"
+        )
     worst = 1.0 - report.margin
     shrink = float(rng.random())
     if p == math.inf:

@@ -6,8 +6,10 @@ codes restricted to letter tensors, p-gnst codes, valid states from
 ``oracle.random_valid_state``, strict tables holding half of a quantum
 state's moments, and the PR box at n = 2.  At n = 5 and 6, on the same
 p grid: tensor products of two quantum states, p-gnst codes and p-bin
-codes, which pin the ``canonical`` uncertainty search and the rungs that
-stop above their size limits.  ``tests/test_report_corpus.py`` compares
+codes, which pin the uncertainty search above four systems, where it
+finishes (``exhaustive``) on the products and p-bin codes and stops at
+its cap of 10,000 sets (``budgeted``) on the p-gnst codes' equal
+moments, and the rungs that stop above their size limits.  ``tests/test_report_corpus.py`` compares
 the reports with the committed ``tests/data/report_corpus.json``.
 
 A change that moves a report on purpose regenerates the file with

@@ -588,8 +588,8 @@ class TestImportIsLazy:
             "from boxworld import constraints, pauli\n"
             "caches = [pauli.lagrangian_rows, pauli.maximal_commuting_sets,\n"
             "          constraints._local_plan, constraints._commuting_plan,\n"
-            "          constraints._canonical_families, constraints._basis_texts,\n"
-            "          constraints._density_tables, constraints._uncertainty_profile]\n"
+            "          constraints._basis_texts, constraints._density_tables,\n"
+            "          constraints._uncertainty_profile]\n"
             "print(json.dumps([c.cache_info()._asdict() for c in caches]))\n"
         )
         src = str(Path(boxworld.__file__).resolve().parents[1])
@@ -602,7 +602,7 @@ class TestImportIsLazy:
             env={**os.environ, "PYTHONPATH": path},
         )
         infos = json.loads(out.stdout)
-        assert len(infos) == 8
+        assert len(infos) == 7
         for info in infos:
             assert info["currsize"] == 0
             assert info["maxsize"] is not None and info["maxsize"] > 0

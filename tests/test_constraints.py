@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from boxworld.pauli import (
     MAX_COMMUTING_SYSTEMS,
     PauliString,
     commutes,
+    gamma_set,
     maximal_commuting_sets,
     pauli_product,
     product_of,
@@ -67,15 +69,11 @@ class TestExponent:
 
 
 def canonical_margin(state, p):
-    """1 - the worst power sum over the canonical families, the search
-    beyond four systems, at any n."""
+    """1 - the power sum over the paper's canonical ladder set
+    (:func:`~boxworld.pauli.gamma_set`), one anti-commuting set of
+    2n + 1 strings, at any n."""
     table = constraints._moment_table(state)
-    n, low = table.n, (1 << table.n) - 1
-    families = [
-        [PauliString.hermitian(n, k & low, k >> n) for k in row]
-        for row in constraints._canonical_families(n)
-    ]
-    return 1.0 - max(sum(abs(table.value(s)) ** p for s in f) for f in families)
+    return 1.0 - sum(abs(table.value(s)) ** p for s in gamma_set(table.n))
 
 
 class TestUncertainty:
@@ -121,6 +119,8 @@ class TestUncertainty:
         assert canonical_margin(state, 2) >= -DEFAULT_TOL
 
     def test_exhaustive_alphabet_gate(self):
+        """Equal weights leave the 2n + 1 bound little to prune: the
+        search over 120 strings at n = 5 stops at its cap."""
         keys = {}
         n = 5
         for a in range(2**n):
@@ -128,7 +128,8 @@ class TestUncertainty:
                 if (a, b) != (0, 0) and len(keys) < 120:
                     keys[(a, b)] = 1e-3
         state = CoefficientState(n, keys)
-        assert check_p_uncertainty(state, 2).detail["mode"] == "canonical"
+        detail = check_p_uncertainty(state, 2).detail
+        assert (detail["mode"], detail["sets"]) == ("budgeted", constraints._SEARCH_SETS)
 
     def test_clique_search_finds_what_canonical_misses(self):
         quantum = oracle.random_quantum_state(4, np.random.default_rng(0))
@@ -138,7 +139,7 @@ class TestUncertainty:
         assert result.level == "invalid"
         assert result.reports[0].detail["mode"] == "exhaustive"
         assert result.reports[0].margin == pytest.approx(-0.2003, abs=1e-4)
-        assert canonical_margin(table, 1.5) == pytest.approx(0.3426, abs=1e-4)
+        assert canonical_margin(table, 1.5) == pytest.approx(0.5802, abs=1e-4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_search_is_a_proof_up_to_four_systems(self, n, rng):
@@ -147,21 +148,38 @@ class TestUncertainty:
                 assert check_p_uncertainty(state, p).detail["mode"] == "exhaustive"
             assert check_p_uncertainty(state, math.inf).detail["mode"] == "max"
 
-    def test_search_is_canonical_at_five_systems(self, rng):
-        for state in ladder_families(5, rng):
-            assert check_p_uncertainty(state, 2.0).detail["mode"] == "canonical"
+    def test_search_is_capped_at_five_systems(self, rng):
+        for state in itertools.islice(ladder_families(5, rng), 5):  # one state per family
+            detail = check_p_uncertainty(state, 2.0).detail
+            assert detail["mode"] in ("exhaustive", "budgeted")
+            assert detail["sets"] <= constraints._SEARCH_SETS
+            assert (detail["mode"] == "budgeted") == (detail["sets"] == constraints._SEARCH_SETS)
             assert check_p_uncertainty(state, math.inf).detail["mode"] == "max"
 
-    def test_five_system_canonical_report(self):
+    def test_five_system_report(self):
+        """The search finishes on a random quantum state's 1023 moments
+        and finds a heavier set than the paper's ladder set."""
         state = oracle.random_quantum_state(5, np.random.default_rng(0))
         report = check_p_uncertainty(state, 1.5)
-        assert report.margin == pytest.approx(0.9029716425432698, abs=1e-12)
+        assert report.margin == pytest.approx(0.8308528282431961, abs=1e-12)
         assert report.worst_set == (
-            "+1 XIIII", "+1 ZIIII", "+1 YXIII", "+1 YZIXI", "+1 YYXXX", "+1 YYZXI",
-            "+1 YZYYX", "+1 YYYIX", "+1 YZYZI", "+1 YZXZY", "+1 YZXZZ",
+            "+1 YYIZI", "+1 IYZXI", "+1 IYIYZ", "+1 ZZXYZ", "+1 XXYYZ", "+1 YZXZY",
+            "+1 IXXZY", "+1 XZIXX", "+1 IYZYY", "+1 XXZXX", "+1 YYIYX",
         )
-        assert report.detail == {"p": 1.5, "mode": "canonical", "sets": 46, "strings": 1023}
-        assert canonical_margin(state, 1.5) == report.margin
+        assert report.detail == {"p": 1.5, "mode": "exhaustive", "sets": 3607, "strings": 1023}
+        assert canonical_margin(state, 1.5) > report.margin
+
+    def test_five_system_code_outruns_the_cap(self):
+        """A p = 2 p-gnst code's 243 equal moments at n = 5: the search
+        stops at its cap with nine strings, 1 - 9/11 at p = 2 (pinned in
+        :class:`TestStoredMoments`; the anti-commuting clique number of
+        the full-support strings is 9 at n = 5), and the same nine break
+        the relation at p = 1.5."""
+        code = rac_encode_pgnst([j % 3 % 2 for j in range(3**5)], 5, 2.0)
+        result = classify_state(code, 1.5)
+        assert result.level == "invalid"
+        assert result.reports[0].detail == {"p": 1.5, "mode": "budgeted", "sets": constraints._SEARCH_SETS, "strings": 243}
+        assert abs(result.reports[0].margin - (1.0 - 9 * 11**-0.75)) <= 1e-12  # -0.490
 
     def test_works_on_probability_tables(self):
         report = check_p_uncertainty(pr_box_state(), math.inf)
@@ -171,7 +189,7 @@ class TestUncertainty:
         "n, values, mode",
         [
             (2, {(a, b): 1e308 for a in range(4) for b in range(4) if a or b}, "exhaustive"),
-            (5, {(1, 0): 1e200}, "canonical"),  # X on system 0, in a canonical family
+            (5, {(1, 0): 1e200}, "exhaustive"),  # X on system 0, past the one-byte keys
         ],
     )
     def test_powers_past_the_float_range_fail(self, n, values, mode):
@@ -555,45 +573,66 @@ class TestCliqueSearch:
             self.assert_matches_maximal_sets(state, (1.5, 2.0, 3.0))
 
     def test_five_system_alphabets_match_subset_search(self, rng):
-        """Packed keys reach 1023 at n = 5, two bytes each, and the
-        adjacency must see the fifth system's bits."""
-        n = 5
-        for size in (12, 13, 14, 15, 16):
-            keys = [int(k) for k in rng.choice(np.arange(1, 4**n), size=size, replace=False)]
-            weight = dict(zip(keys, rng.random(size).tolist()))
-            strings = {k: PauliString.hermitian(n, k & (1 << n) - 1, k >> n) for k in keys}
-            best, best_members = 0.0, []
+        """Packed keys reach 1023 at n = 5 and 4095 at n = 6, two bytes
+        each, and the adjacency must see the top systems' bits.  Read
+        through the rung at p = 1, whose weights are the magnitudes."""
+        for n in (5, 6):
+            low = (1 << n) - 1
+            for size in (12, 13, 14, 15, 16):
+                keys = [int(k) for k in rng.choice(np.arange(1, 4**n), size=size, replace=False)]
+                weight = dict(zip(keys, rng.random(size).tolist()))
+                strings = {k: PauliString.hermitian(n, k & low, k >> n) for k in keys}
+                best, best_members = 0.0, []
 
-            def grow(members, candidates, total):
-                # Every pairwise anti-commuting subset, one member at a time.
-                nonlocal best, best_members
-                if total > best:
-                    best, best_members = total, members
-                for i, k in enumerate(candidates):
-                    rest = [c for c in candidates[i + 1 :] if not commutes(strings[k], strings[c])]
-                    grow([*members, k], rest, total + weight[k])
+                def grow(members, candidates, total):
+                    # Every pairwise anti-commuting subset, one member at a time.
+                    nonlocal best, best_members
+                    if total > best:
+                        best, best_members = total, members
+                    for i, k in enumerate(candidates):
+                        rest = [c for c in candidates[i + 1 :] if not commutes(strings[k], strings[c])]
+                        grow([*members, k], rest, total + weight[k])
 
-            grow([], keys, 0.0)
-            keys.sort()
-            weights = [weight[k] for k in keys]
-            total, members, _ = constraints._heaviest_anticommuting_set(n, keys, weights)
-            assert abs(total - best) <= 1e-12
-            assert sorted(members) == sorted(best_members)
+                grow([], keys, 0.0)
+                table = MomentTable(n, {(k & low, k >> n): m for k, m in weight.items()}, strict=False)
+                report = check_p_uncertainty(table, 1.0)
+                assert report.detail["mode"] == "exhaustive"
+                assert abs(report.margin - (1.0 - best)) <= 1e-12
+                assert sorted(report.worst_set) == sorted(strings[k].text() for k in best_members)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_adjacency_matches_commutes(self, n, rng):
-        """Keys take two bytes from n = 5 on; every bit of every row is
-        checked against :func:`~boxworld.pauli.commutes`."""
+        """Keys take two bytes from n = 5 on; every bit of the row the
+        tables give each key, and up to three systems every other string,
+        is checked against :func:`~boxworld.pauli.commutes`."""
         low = (1 << n) - 1
         for size in (1, 2, 4, min(4**n, 40)):
             keys = [int(k) for k in rng.choice(np.arange(4**n), size=size, replace=False)]
             strings = [PauliString.hermitian(n, k & low, k >> n) for k in keys]
-            rows = constraints._anticommuting_masks(n, keys)
-            expected = [sum(1 << j for j, t in enumerate(strings) if not commutes(s, t)) for s in strings]
-            assert rows == expected
+            from_a, from_b = constraints._anticommuting_masks(n, keys)
+            assert len(from_a) == len(from_b) == 1 << n
+            for k in range(4**n) if n <= 3 else keys:
+                s = PauliString.hermitian(n, k & low, k >> n)
+                expected = sum(1 << j for j, t in enumerate(strings) if not commutes(s, t))
+                assert from_a[k & low] ^ from_b[k >> n] == expected
 
     def test_adjacency_of_no_keys(self):
-        assert constraints._anticommuting_masks(3, []) == []
+        assert constraints._anticommuting_masks(3, []) == ([0] * 8, [0] * 8)
+
+    def test_dense_search_keeps_no_mask_per_key(self):
+        """A dense n = 7 product: 16,383 strings, whose masks, one per key,
+        would take 37 MB; the search reads each neighbourhood per visit
+        from two tables of 128 masks."""
+        rng = np.random.default_rng(0)
+        state = states.tensor_product(oracle.random_quantum_state(3, rng), oracle.random_quantum_state(4, rng))
+        tracemalloc.start()
+        try:
+            report = check_p_uncertainty(state, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.detail["mode"] == "exhaustive" and report.detail["strings"] == 4**7 - 1
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_margin_is_the_python_power_sum_heaviest_first(self, n, rng):
@@ -680,9 +719,13 @@ class TestProfileCache:
             assert dumped(reports[:1]) == dumped(reports[1:])
             assert reports[0].detail["p"] == 2.0 and isinstance(reports[0].detail["p"], float)
 
-    def test_canonical_search_is_not_cached(self, rng):
+    def test_cache_is_gated_on_its_key_width(self, rng, monkeypatch):
+        """The cache packs one byte per key, so it holds no n = 5 profile,
+        whatever the commuting rung's system limit."""
         state = oracle.random_quantum_state(5, rng)
-        assert check_p_uncertainty(state, 2).detail["mode"] == "canonical"
+        expected = check_p_uncertainty(state, 2).to_json_dict()
+        monkeypatch.setattr(constraints, "MAX_COMMUTING_SYSTEMS", 5)
+        assert check_p_uncertainty(state, 2).to_json_dict() == expected
         assert constraints._uncertainty_profile.cache_info().currsize == 0
 
 
@@ -711,10 +754,10 @@ class TestStoredMoments:
     @pytest.mark.parametrize(
         "n,p,margin,worst,sets,strings",
         [
-            (5, 2.0, 0.5454545454545454, "ZIIXI XIIII YZIXX YXIXI YYXXX YYZXX YYYIX ZYYYX "
-             "ZYYZI ZZYZY ZZYZZ", 46, 243),
-            (6, 2.0, 0.6153846153846154, "ZIIIII XIIIZI YXIIZI YZIIZZ YYXIZZ YYZIZZ YYYXZZ "
-             "YYYZZZ XYYYYZ YYYYIZ XZYYXY XYYYXI XZYYXX", 48, 729),
+            (5, 2.0, 0.18181818181818166, "XYZZX YZXZX ZXYZX ZZZXX YXZYX XZYYX ZYXYX XXXXX "
+             "YYYXX", 10_000, 243),
+            (6, 2.0, 0.3076923076923077, "YYZYXZ YZYZZX YZYZYX YYXZXX YZZXXX YYZYXY ZXXXXX "
+             "XXXXXX YXYYXX", 10_000, 729),
             (5, math.inf, 0.6, "XZIII", None, 5),
             (6, math.inf, 0.6, "XZIIII", None, 5),
         ],
@@ -727,7 +770,7 @@ class TestStoredMoments:
         monkeypatch.setattr(MomentTable, "vector", refuse)
         if p == 2.0:
             state = rac_encode_pgnst([j % 3 % 2 for j in range(3**n)], n, p)
-            detail = {"p": p, "mode": "canonical", "sets": sets, "strings": strings}
+            detail = {"p": p, "mode": "budgeted", "sets": sets, "strings": strings}
         else:
             state = tied_table(n)
             detail = {"p": "inf", "mode": "max", "strings": strings}
@@ -1049,7 +1092,7 @@ class TestClassification:
         result = classify_state(state, 2)
         assert result.level == "p-box"
         assert [r.constraint for r in result.reports] == ["p-uncertainty", "local-moments"]
-        assert result.reports[0].detail["mode"] == "canonical"
+        assert result.reports[0].detail["mode"] == "exhaustive"
         assert all(r.passed for r in result.reports)
         assert result.stopped == (
             "commuting-moments",

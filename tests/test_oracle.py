@@ -156,10 +156,18 @@ class TestRandomStates:
             assert state.n == 4
             assert check_p_uncertainty(state, p).passed
 
-    def test_random_valid_state_needs_a_certified_scale(self, rng):
-        with pytest.raises(ResourceError):
-            oracle.random_valid_state(5, 2.0, rng)
-        assert oracle.random_valid_state(5, math.inf, rng).n == 5
+    def test_random_valid_state_needs_a_certified_scale(self, rng, monkeypatch):
+        """Only a finished search certifies the scale; one stopped at its
+        cap refuses, and p = infinity needs no search."""
+        monkeypatch.setattr(constraints, "_SEARCH_SETS", 1)
+        with pytest.raises(ResourceError, match="stopped at its cap"):
+            oracle.random_valid_state(3, 2.0, rng)
+        assert oracle.random_valid_state(3, math.inf, rng).n == 3
+
+    def test_random_valid_state_at_five_systems(self, rng):
+        state = oracle.random_valid_state(5, 2.0, rng)
+        report = check_p_uncertainty(state, 2.0)
+        assert report.passed and report.detail["mode"] == "exhaustive"
 
     def test_random_circuit_shape(self, rng):
         circuit = oracle.random_circuit(2, rng)
