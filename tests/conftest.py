@@ -21,7 +21,9 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def clear_uncertainty_profiles():
-    """Every test starts with an empty profile cache, so a test that
-    patches the clique search or the weights never reads an earlier
-    test's cached answer."""
+    """Every test starts and ends with an empty profile cache, so an
+    answer cached while a test patched the clique search, its cap or the
+    weights is never read after the patch is undone."""
+    constraints._uncertainty_profile.cache_clear()
+    yield
     constraints._uncertainty_profile.cache_clear()

@@ -153,8 +153,31 @@ class TestUncertainty:
             detail = check_p_uncertainty(state, 2.0).detail
             assert detail["mode"] in ("exhaustive", "budgeted")
             assert detail["sets"] <= constraints._SEARCH_SETS
-            assert (detail["mode"] == "budgeted") == (detail["sets"] == constraints._SEARCH_SETS)
+            if detail["mode"] == "budgeted":
+                assert detail["sets"] == constraints._SEARCH_SETS
             assert check_p_uncertainty(state, math.inf).detail["mode"] == "max"
+
+    def test_equal_weights_outrun_the_cap_at_four_systems(self):
+        """The 108 weight-3 strings at n = 4, at one magnitude: a finished
+        search takes 43,906 sets, so the capped one stops, budgeted, with
+        the same eight strings (found by its 43rd set)."""
+        values = {(a, b): 0.1 for a in range(16) for b in range(16) if bin(a | b).count("1") == 3}
+        report = check_p_uncertainty(MomentTable(4, values, strict=False), 2.0)
+        assert report.detail == {"p": 2.0, "mode": "budgeted", "sets": constraints._SEARCH_SETS, "strings": 108}
+        assert abs(report.margin - 0.92) <= 1e-12
+        assert report.worst_set == (
+            "+1 IXZZ", "+1 YIXZ", "+1 ZXXI", "+1 IXYZ", "+1 XXXI", "+1 YXIX", "+1 IZXX", "+1 IYXX",
+        )
+
+    def test_search_that_ends_at_the_cap_is_exhaustive(self, rng, monkeypatch):
+        """Only a set past the cap makes a search budgeted: one whose last
+        unpruned set is the cap's finishes, with ``sets`` equal to it."""
+        state = oracle.random_quantum_state(2, rng)
+        sets = check_p_uncertainty(state, 2.0).detail["sets"]
+        for cap, mode in ((sets, "exhaustive"), (sets - 1, "budgeted")):
+            constraints._uncertainty_profile.cache_clear()
+            monkeypatch.setattr(constraints, "_SEARCH_SETS", cap)
+            assert check_p_uncertainty(state, 2.0).detail == {"p": 2.0, "mode": mode, "sets": cap, "strings": 15}
 
     def test_five_system_report(self):
         """The search finishes on a random quantum state's 1023 moments
@@ -609,20 +632,38 @@ class TestCliqueSearch:
         for size in (1, 2, 4, min(4**n, 40)):
             keys = [int(k) for k in rng.choice(np.arange(4**n), size=size, replace=False)]
             strings = [PauliString.hermitian(n, k & low, k >> n) for k in keys]
-            from_a, from_b = constraints._anticommuting_masks(n, keys)
-            assert len(from_a) == len(from_b) == 1 << n
+            tables = constraints._anticommuting_masks(n, keys)
+            assert [len(t) for t in tables] == [1 << min(8, 2 * n - 8 * c) for c in range(len(tables))]
+            assert len(tables) == (2 * n + 7) // 8
             for k in range(4**n) if n <= 3 else keys:
                 s = PauliString.hermitian(n, k & low, k >> n)
                 expected = sum(1 << j for j, t in enumerate(strings) if not commutes(s, t))
-                assert from_a[k & low] ^ from_b[k >> n] == expected
+                row = 0
+                for c, table in enumerate(tables):
+                    row ^= table[k >> 8 * c & 255]
+                assert row == expected
 
     def test_adjacency_of_no_keys(self):
-        assert constraints._anticommuting_masks(3, []) == ([0] * 8, [0] * 8)
+        assert constraints._anticommuting_masks(3, []) == [[0] * 64]
+
+    def test_one_term_far_past_the_byte_keys(self):
+        """The tables grow with the keys and with n, not with 2**n: a
+        one-term state at n = 40 needs 10 tables of 256 one-bit masks."""
+        state = CoefficientState(40, {(1, 1 << 39): 0.5})
+        tracemalloc.start()
+        try:
+            report = check_p_uncertainty(state, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.detail == {"p": 2.0, "mode": "exhaustive", "sets": 1, "strings": 1}
+        assert report.margin == 0.75
+        assert peak < 2**20
 
     def test_dense_search_keeps_no_mask_per_key(self):
         """A dense n = 7 product: 16,383 strings, whose masks, one per key,
         would take 37 MB; the search reads each neighbourhood per visit
-        from two tables of 128 masks."""
+        from two tables, of 256 and 64 masks."""
         rng = np.random.default_rng(0)
         state = states.tensor_product(oracle.random_quantum_state(3, rng), oracle.random_quantum_state(4, rng))
         tracemalloc.start()
