@@ -657,10 +657,7 @@ def run_named(config: Mapping) -> int:
         if value is None:
             continue
         flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, float) and value == math.inf:
+        if isinstance(value, float) and value == math.inf:
             argv.extend([flag, "inf"])
         else:
             argv.extend([flag, str(value)])

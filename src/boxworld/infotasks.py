@@ -321,6 +321,8 @@ class LearnParams:
             raise DomainError(f"epsilon {self.epsilon} outside (0, 1)")
         if not 0.0 < self.delta <= 1.0:
             raise DomainError(f"delta {self.delta} outside (0, 1]")
+        if self.eta is not None and not math.isfinite(self.eta):
+            raise DomainError(f"eta must be finite, got {self.eta}")
 
     @property
     def regime(self) -> str:
@@ -377,7 +379,7 @@ def learnability_threshold(
     Raises:
         DomainError: for a budget that is not finite, below one carrier's
             minimum, or so large that 4 * 3**carriers / gamma^2 exceeds
-            1e308; the last is refused before 3**carriers is computed.
+            1e308 (refused before 3**carriers is computed), or a non-finite eta.
     """
     if not math.isfinite(total_bits):
         raise DomainError(f"budget must be finite, got {total_bits}")

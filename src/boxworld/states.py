@@ -420,12 +420,15 @@ class GnstState:
     construction.  The table form stores explicit probability vectors
     for any subset of the 3**n settings and is validated on
     construction unless ``check=False`` (reserved for adversarial test
-    fixtures, for the report-style validator and for tables handed to
-    :func:`moments_from_probabilities`, which checks normalization and
-    overlaps itself).  A non-finite ``lam`` or probability, and a
-    vector of the wrong length, raise :class:`ValidationError` always.
-    The state is immutable, so :meth:`moment_table` converts it once
-    and keeps the table; equality and JSON ignore that copy.
+    fixtures, the report-style validator, :func:`marginalize`'s result
+    and tables handed to :func:`moments_from_probabilities`, which
+    checks normalization and overlaps itself).  The check raises at the
+    first violation: per setting normalization, then positivity; then
+    no-signaling, raised in :func:`_marginals`.  A non-finite ``lam`` or
+    probability, and a vector of the wrong length, raise
+    :class:`ValidationError` always.  The state is immutable, so
+    :meth:`moment_table` converts it once and keeps the table; equality
+    and JSON ignore that copy.
     """
 
     __slots__ = ("_n", "_table", "_lam", "_signs", "_moments")
@@ -581,29 +584,14 @@ class GnstState:
     def _validate(self, tol: float) -> None:
         for setting in self.settings():
             probs = self.probabilities(setting)
-            if abs(sum(probs) - 1.0) > tol:
-                raise ValidationError(
-                    f"probabilities for {setting.labels} sum to {sum(probs)}"
-                )
+            _check_normalized(setting, probs, tol)
             if min(probs) < -tol:
                 raise ValidationError(
                     f"negative probability {min(probs)} under {setting.labels}"
                 )
-        self._check_no_signaling(tol)
-
-    def _check_no_signaling(self, tol: float) -> None:
-        """Marginals on any subset must not depend on discarded labels."""
-        if self.is_compact or self._n == 1:
-            return
-        settings = self.settings()
         keeps = [k for r in range(1, self._n) for k in itertools.combinations(range(self._n), r)]
-        for keep, (_, source, deviation) in zip(keeps, _marginals(self, keeps)):
-            i = int((deviation > tol).argmax())  # the first setting past tol, if any
-            if deviation[i] > tol:
-                raise NoSignalingError(
-                    f"marginal on systems {keep} differs between "
-                    f"settings {settings[source[i]].labels} and {settings[i].labels}"
-                )
+        for _ in _marginals(self, keeps, tol):  # raises on the first signaling marginal
+            pass
 
     # -- serialization ------------------------------------------------
 
@@ -647,7 +635,7 @@ class GnstState:
 
 
 def _marginals(
-    state: GnstState, keeps: Iterable[Sequence[int]]
+    state: GnstState, keeps: Iterable[Sequence[int]], tol: float = math.inf
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every setting's marginal on each sorted ``keep`` of ``keeps``, read
     from one array of the outcome vectors.
@@ -658,6 +646,8 @@ def _marginals(
     the largest entrywise difference from the source's marginal.  The
     discarded outcomes are added one at a time in outcome order from
     0.0, as in a Python sum (``ndarray.sum`` adds in another order).
+    Raises :class:`NoSignalingError` at the first keep, and in it the
+    first setting, whose deviation exceeds ``tol`` (never by default).
     """
     import numpy as np
 
@@ -671,7 +661,20 @@ def _marginals(
         first: dict[tuple[int, ...], int] = {}
         subs = map(tuple, labels[:, keep].tolist())
         source = np.array([first.setdefault(sub, i) for i, sub in enumerate(subs)])
-        yield marginals, source, np.abs(marginals - marginals[source]).max(axis=1)
+        deviation = np.abs(marginals - marginals[source]).max(axis=1)
+        i = int((deviation > tol).argmax())  # the first setting past tol, if any
+        if deviation[i] > tol:
+            raise NoSignalingError(
+                f"marginal on systems {keep} differs between "
+                f"settings {settings[source[i]].labels} and {settings[i].labels}"
+            )
+        yield marginals, source, deviation
+
+
+def _check_normalized(setting: FiducialSetting, probs: Sequence[float], tol: float) -> None:
+    """Raise unless one setting's outcome probabilities sum to 1 within ``tol``."""
+    if abs(sum(probs) - 1.0) > tol:
+        raise ValidationError(f"probabilities for {setting.labels} sum to {sum(probs)}")
 
 
 def pr_box_state() -> GnstState:
@@ -692,6 +695,9 @@ def pr_box_state() -> GnstState:
 def marginalize(state: GnstState, systems: Sequence[int]) -> GnstState:
     """Restrict a table to a subset of systems, relabeled from zero.
 
+    Checks no-signaling on ``systems`` alone and builds the result with
+    ``check=False``: a table built with ``check=False`` is marginalized as it is.
+
     Raises:
         NoSignalingError: if the marginal depends on a discarded label.
     """
@@ -703,15 +709,9 @@ def marginalize(state: GnstState, systems: Sequence[int]) -> GnstState:
     if len(keep) == state.n:
         return state
     settings = state.settings()
-    marginals, source, deviation = next(_marginals(state, [keep]))
-    i = int((deviation > DEFAULT_TOL).argmax())  # the first setting past tol, if any
-    if deviation[i] > DEFAULT_TOL:
-        raise NoSignalingError(
-            f"marginal on systems {keep} differs between settings "
-            f"{settings[source[i]].labels} and {settings[i].labels}"
-        )
+    marginals, source, _ = next(_marginals(state, [keep], DEFAULT_TOL))
     table = {tuple(settings[i].labels[j] for j in keep): marginals[i] for i in source.tolist()}
-    return GnstState.from_table(len(keep), table)
+    return GnstState.from_table(len(keep), table, check=False)
 
 
 MAX_COLLECTION_SIZE = 12
@@ -788,8 +788,7 @@ def moments_from_probabilities(state: GnstState, tol: float = DEFAULT_TOL) -> Mo
     settings = state.settings()
     rows = [state.probabilities(setting) for setting in settings]
     for setting, probs in zip(settings, rows):
-        if abs(sum(probs) - 1.0) > tol:
-            raise ValidationError(f"probabilities for {setting.labels} sum to {sum(probs)}")
+        _check_normalized(setting, probs, tol)
     # Every subset of systems, by size and then lexicographically, as
     # its key mask (bit i is system i) and its column.
     subsets = [

@@ -536,6 +536,12 @@ class TestRunNamed:
     def test_missing_command(self):
         assert run_named({}) == 2
 
+    def test_bool_value_is_passed_as_text(self, capsys):
+        assert run_named({"command": "chsh", "p": 2, "tol": False}) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Error: argument --tol: 'False' is not" in captured.err
+
     def test_failure_exit_code_propagates(self, tmp_path):
         path = tmp_path / "bad.json"
         state = CoefficientState(1, {(1, 0): 1.0, (0, 1): 1.0})
@@ -707,3 +713,41 @@ def test_table_output_is_pinned(runner, p):
     result = invoke(runner, "table", "--p", p)
     assert result.exit_code == 0
     assert result.stdout == TABLE_STDOUT[p]
+
+
+def assert_usage_error(result, message):
+    """Exit 2 with nothing on stdout, the usage line and one ``Error:`` line."""
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: boxworld ")
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in result.output
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta(self, runner, eta):
+        result = invoke(
+            runner, "learn", "--budget", "1000", "--p", "2", "--gamma", "0.1",
+            "--epsilon", "0.1", "--delta", "0.1", "--eta", eta,
+        )
+        assert_usage_error(result, "eta must be finite")
+
+    def test_tolerance_that_is_not_a_number(self, runner):
+        result = invoke(runner, "chsh", "--p", "2", "--tol", "abc")
+        assert_usage_error(result, "argument --tol: 'abc' is not a finite, non-negative number")
+
+    def test_missing_state_file(self, runner, tmp_path):
+        path = tmp_path / "absent.json"
+        assert_usage_error(invoke(runner, "validate", "--file", str(path)), f"cannot read {path}")
+
+    def test_state_file_that_is_not_json(self, runner, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text("not json")
+        assert_usage_error(invoke(runner, "validate", "--file", str(path)), f"{path} is not valid JSON")
+
+    def test_bits_outside_zero_and_one(self, runner):
+        result = invoke(
+            runner, "rac", "encode", "--theory", "p-bin", "--n", "1", "--p", "2", "--bits", "01x"
+        )
+        assert_usage_error(result, "expected a 0/1 string, got '01x'")

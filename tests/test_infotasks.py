@@ -208,6 +208,13 @@ class TestLearnParams:
         with pytest.raises(DomainError):
             LearnParams(0.25, 1.5, 0.05, 27.0, 30.0)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eta_is_refused(self, eta):
+        with pytest.raises(DomainError, match="eta must be finite"):
+            LearnParams(0.25, 0.1, 0.05, 27.0, 30.0, eta)
+        with pytest.raises(DomainError, match="eta must be finite"):
+            learnability_threshold(100, 2, 0.25, 0.1, 0.05, eta)
+
 
 class TestLearnabilityThreshold:
     def test_composition(self):

@@ -85,6 +85,23 @@ class TestEigenvalues:
         with pytest.raises(DomainError):
             oracle.eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_non_square_rejected(self):
+        for matrix in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+            with pytest.raises(DomainError, match="need a square matrix"):
+                oracle.eigenvalues(matrix)
+
+    def test_size_limit_is_checked_before_iterating(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("the Jacobi iteration ran")
+
+        monkeypatch.setattr(oracle, "_jacobi_real_symmetric", refuse)
+        size = oracle.MAX_JACOBI_DIM + 1
+        with pytest.raises(ResourceError, match="limited to 512x512"):
+            oracle.eigenvalues(np.zeros((size, size)))
+
+    def test_one_by_one_is_its_entry(self):
+        assert oracle.eigenvalues(np.array([[-2.5]])).tolist() == [-2.5]
+
     def test_min_and_psd(self):
         assert oracle.min_eigenvalue(np.diag([3.0, -1.0])) == pytest.approx(-1.0)
         assert oracle.is_psd(np.diag([3.0, 1.0]))

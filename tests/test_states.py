@@ -368,6 +368,14 @@ class TestGnstState:
         with pytest.raises(DimensionError):
             pr_box_state().setting_moment(FiducialSetting((1,)))
 
+    def test_first_setting_violation_is_raised_first(self):
+        # (1,) has a negative entry and (2,) sums to 1.2: settings are
+        # checked in turn, so (1,)'s positivity is raised before (2,)'s sum.
+        table = {(1,): (1.25, -0.25), (2,): (0.6, 0.6), (3,): (0.5, 0.5)}
+        with pytest.raises(ValidationError) as caught:
+            GnstState.from_table(1, table)
+        assert str(caught.value) == "negative probability -0.25 under (1,)"
+
     def test_from_table_requires_complete_vectors(self):
         with pytest.raises(ValidationError):
             GnstState.from_table(1, {(1,): (0.6, 0.3)})
@@ -513,6 +521,25 @@ class TestMarginals:
             sub = tuple(setting.labels[j] for j in keep)
             first.setdefault(sub, oracle.marginal_vector(state.probabilities(setting), 3, keep))
         assert {s.labels: marginal.probabilities(s) for s in marginal.settings()} == first
+
+    @pytest.mark.parametrize("keep", [[0], [1, 2], [0, 2]])
+    def test_marginalize_builds_its_result_unchecked(self, keep, rng, monkeypatch):
+        product, *_ = random_tables(3, rng)
+        state = GnstState.from_table(3, product)
+        checked = []
+        monkeypatch.setattr(GnstState, "_validate", lambda self, tol: checked.append(self))
+        marginal = marginalize(state, keep)
+        assert checked == []
+        monkeypatch.undo()
+        table = {s.labels: marginal.probabilities(s) for s in marginal.settings()}
+        assert marginal == GnstState.from_table(len(keep), table)
+
+    def test_marginalize_keeps_an_unchecked_table_as_it_is(self):
+        state = GnstState.from_table(2, {(1, 1): (0.5, 0.0, 0.0, 0.6)}, check=False)
+        marginal = marginalize(state, [0])
+        assert marginal.probabilities(FiducialSetting((1,))) == (0.5, 0.6)
+        with pytest.raises(ValidationError, match=r"probabilities for \(1,\) sum to 1.1"):
+            GnstState.from_table(1, {(1,): (0.5, 0.6)})
 
 
 class TestMomentTable:
