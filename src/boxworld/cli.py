@@ -24,9 +24,8 @@ import io
 import json
 import math
 import os
-import random
+import re
 import sys
-from pathlib import Path
 from typing import Mapping
 
 from . import states
@@ -87,7 +86,7 @@ def _tolerance(text: str) -> float:
 
 
 def _new_file(text: str) -> str:
-    if Path(text).is_dir():
+    if os.path.isdir(text or "."):  # "" names the working directory
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
     return text
 
@@ -138,7 +137,8 @@ def _emit_csv(header: tuple[str, ...], rows: list[tuple]) -> None:
 
 def _load_state(path: str, tol: float = states.DEFAULT_TOL):
     try:
-        data = json.loads(Path(path).read_text())
+        with open(path) as handle:
+            data = json.load(handle)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -248,7 +248,8 @@ def _rac_encode(a) -> int:
     if a.out is None:
         print(text)
     else:
-        Path(a.out).write_text(text + "\n")
+        with open(a.out, "w") as handle:
+            handle.write(text + "\n")
         print(f"wrote {a.out}")
     return 0
 
@@ -264,6 +265,8 @@ def _rac_decode(a) -> int:
 
 def _rac_verify(a) -> int:
     """Decode every index of one codeword, exactly and by sampling."""
+    import random
+
     import numpy as np
 
     from . import rac
@@ -304,6 +307,8 @@ def _rac_verify(a) -> int:
 
 def _rac_boost(a) -> int:
     """Monte Carlo failure rate of the majority-boosted code."""
+    import random
+
     from . import rac
 
     copies, bound = rac.rac_repetition_params(a.n, a.p)
@@ -494,11 +499,22 @@ def _psphere(a) -> int:
 # ---------------------------------------------------------------------------
 
 
+# A value argparse reads as a negative number, not an option: every
+# form float() takes, so "-1e-3", "-inf" and "-nan" reach their flag's
+# own check; argparse's own pattern takes plain decimals such as "-1"
+# and "-.5" only.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports every usage error on stderr, with the commands of a
     group, and exits 2."""
 
     commands: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

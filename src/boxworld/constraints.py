@@ -52,9 +52,9 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ResourceError, validate_exponent
 from .pauli import (
@@ -110,8 +110,7 @@ _RUNGS = ("p-uncertainty", "local-moments", "commuting-moments", "density-psd")
 StateLike = CoefficientState | GnstState | MomentTable
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "constraint passed margin worst_set detail")):
     """Outcome of one constraint check.
 
     Attributes:
@@ -120,14 +119,22 @@ class ValidationReport:
         margin: Slack of the constraint; negative means violated.
         worst_set: Text forms of the strings (or setting labels)
             realizing the margin.
-        detail: Free-form diagnostics (mode, counts, skips).
+        detail: Free-form diagnostics (mode, counts, skips); a fresh
+            empty dict when not given.
     """
 
-    constraint: str
-    passed: bool
-    margin: float
-    worst_set: tuple[str, ...] = ()
-    detail: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        constraint: str,
+        passed: bool,
+        margin: float,
+        worst_set: tuple[str, ...] = (),
+        detail: dict | None = None,
+    ) -> ValidationReport:
+        detail = {} if detail is None else detail
+        return super().__new__(cls, constraint, passed, margin, worst_set, detail)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -494,8 +501,7 @@ def _group(generators: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, 1.0 - ((phases - weight(keys)) & 2)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """The collections of one positivity rung at one n, as arrays.
 
     ``named`` holds the collections in report order, each as the packed
@@ -670,8 +676,7 @@ def _density_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Where a state sits in the validity hierarchy.
 
     ``level`` is one of :data:`LEVELS`; ``reports`` holds every check
@@ -770,8 +775,7 @@ def two_measurement_eigenvalues(
     return tuple(sorted(eigs))
 
 
-@dataclass(frozen=True)
-class SylvesterReport:
+class SylvesterReport(NamedTuple):
     box_ok: bool
     cubic_ok: bool
     det_ok: bool

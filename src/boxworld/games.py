@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, ResourceError, ValidationError, validate_exponent
 from .pauli import PauliString, gamma_set, letter_digits, pauli_product
@@ -149,8 +150,7 @@ def pgnst_chsh_state(p: float) -> GnstState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TsirelsonResult:
+class TsirelsonResult(NamedTuple):
     """Optimum of 2(x + y) on the unit disc.
 
     ``moments`` spells the optimum out as the four question correlators
@@ -214,8 +214,7 @@ def tsirelson_optimize(tol: float = 1e-9) -> TsirelsonResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XorGame:
+class XorGame(namedtuple("XorGame", "s_count t_count pi wins")):
     """A two-party XOR game in table form.
 
     ``pi[s][t]`` is the probability of question pair (s, t); ``wins[s][t]``
@@ -224,29 +223,31 @@ class XorGame:
     wins each question pair.
     """
 
-    s_count: int
-    t_count: int
-    pi: tuple[tuple[float, ...], ...]
-    wins: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.s_count < 1 or self.t_count < 1:
+    def __new__(
+        cls,
+        s_count: int,
+        t_count: int,
+        pi: tuple[tuple[float, ...], ...],
+        wins: tuple[tuple[int, ...], ...],
+    ) -> XorGame:
+        if s_count < 1 or t_count < 1:
             raise DomainError("each party needs at least one question")
-        for name, table in (("pi", self.pi), ("wins", self.wins)):
-            if len(table) != self.s_count or any(
-                len(row) != self.t_count for row in table
-            ):
-                raise DimensionError(f"{name} must be {self.s_count} x {self.t_count}")
+        for name, table in (("pi", pi), ("wins", wins)):
+            if len(table) != s_count or any(len(row) != t_count for row in table):
+                raise DimensionError(f"{name} must be {s_count} x {t_count}")
         total = 0.0
-        for row in self.pi:
+        for row in pi:
             for value in row:
                 if value < 0.0:
                     raise ValidationError(f"negative question probability {value}")
                 total += value
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"question probabilities sum to {total}")
-        if any(bit not in (0, 1) for row in self.wins for bit in row):
+        if any(bit not in (0, 1) for row in wins for bit in row):
             raise ValidationError("winning parities must be 0 or 1")
+        return super().__new__(cls, s_count, t_count, pi, wins)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,8 +305,7 @@ def _embed(string: PauliString, n: int, offset: int) -> PauliString:
     return PauliString(n, string.a << offset, string.b << offset, string.phase)
 
 
-@dataclass(frozen=True)
-class XorStrategy:
+class XorStrategy(NamedTuple):
     """One party's observables each, plus the shared state.
 
     ``a_observables[s]`` acts on the first ``n_party`` systems of

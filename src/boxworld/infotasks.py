@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, ResourceError, validate_exponent
 from .rac import (
@@ -56,26 +56,31 @@ def _smallest_code(entries: int, p: float, theory: str = "p-gnst") -> RacParams:
     return params
 
 
-@dataclass(frozen=True)
-class CommProtocolResult:
+class CommProtocolResult(
+    namedtuple("CommProtocolResult", "task input_bits theory carriers correctness exact note")
+):
     """Outcome record of a one-way protocol cost computation."""
 
-    task: str
-    input_bits: int
-    theory: str
-    carriers: int
-    correctness: float
-    exact: bool
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.carriers < 1:
+    def __new__(
+        cls,
+        task: str,
+        input_bits: int,
+        theory: str,
+        carriers: int,
+        correctness: float,
+        exact: bool,
+        note: str = "",
+    ) -> CommProtocolResult:
+        if carriers < 1:
             raise DomainError("a protocol transmits at least one carrier")
-        if not 0.0 <= self.correctness <= 1.0:
-            raise DomainError(f"correctness {self.correctness} outside [0, 1]")
+        if not 0.0 <= correctness <= 1.0:
+            raise DomainError(f"correctness {correctness} outside [0, 1]")
+        return super().__new__(cls, task, input_bits, theory, carriers, correctness, exact, note)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def ip_oneway_cost(n: int, p: float, theory: str = "p-gnst") -> CommProtocolResult:
@@ -240,8 +245,7 @@ def shattering_witness_check(
     return True
 
 
-@dataclass(frozen=True)
-class SampleComplexityBound:
+class SampleComplexityBound(NamedTuple):
     """Both branches of the learning lower bound, with the precondition.
 
     The bound is only claimed when ``precondition_ok``; failing inputs
@@ -256,7 +260,7 @@ class SampleComplexityBound:
     precondition_threshold: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def sample_complexity_lower_bound(
@@ -300,8 +304,7 @@ def _check_log_argument(log_d: float, gamma: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LearnParams:
+class LearnParams(namedtuple("LearnParams", "gamma epsilon delta dimension sample_bound eta")):
     """Error-parameter bundle for the learning bounds.
 
     Both orderings of the margin pair appear in the source material for
@@ -309,20 +312,24 @@ class LearnParams:
     which one the given values realize.
     """
 
-    gamma: float
-    epsilon: float
-    delta: float
-    dimension: float
-    sample_bound: float
-    eta: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon {self.epsilon} outside (0, 1)")
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError(f"delta {self.delta} outside (0, 1]")
-        if self.eta is not None and not math.isfinite(self.eta):
-            raise DomainError(f"eta must be finite, got {self.eta}")
+    def __new__(
+        cls,
+        gamma: float,
+        epsilon: float,
+        delta: float,
+        dimension: float,
+        sample_bound: float,
+        eta: float | None = None,
+    ) -> LearnParams:
+        if not 0.0 < epsilon < 1.0:
+            raise DomainError(f"epsilon {epsilon} outside (0, 1)")
+        if not 0.0 < delta <= 1.0:
+            raise DomainError(f"delta {delta} outside (0, 1]")
+        if eta is not None and not math.isfinite(eta):
+            raise DomainError(f"eta must be finite, got {eta}")
+        return super().__new__(cls, gamma, epsilon, delta, dimension, sample_bound, eta)
 
     @property
     def regime(self) -> str:
@@ -335,11 +342,10 @@ class LearnParams:
         return "degenerate (gamma = eta)"
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "regime": self.regime}
+        return {**self._asdict(), "regime": self.regime}
 
 
-@dataclass(frozen=True)
-class LearnabilityReport:
+class LearnabilityReport(NamedTuple):
     """Composed learnability lower bound for a given bit budget."""
 
     carriers: int
@@ -355,7 +361,8 @@ class LearnabilityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            **asdict(self),
+            **self._asdict(),
+            "bound": self.bound.to_json_dict(),
             "params": self.params.to_json_dict(),
             "threshold": self.threshold,
         }

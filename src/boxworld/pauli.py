@@ -20,7 +20,6 @@ optional leading phase tag, e.g. ``"+1 XZY"`` or ``"-i XY"``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -76,9 +75,10 @@ def letter_digits(letters: Iterable[str]) -> list[int]:
         raise DomainError(f"unknown Pauli letter {exc.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
 class PauliString:
     """An n-system Pauli operator in symplectic form with exact phase.
+
+    Immutable, and equal and hashed by its four fields.
 
     Attributes:
         n: Number of systems the string acts on.
@@ -88,18 +88,34 @@ class PauliString:
             reduced mod 4.
     """
 
-    n: int
-    a: int
-    b: int
-    phase: int
+    __slots__ = ("n", "a", "b", "phase")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, a: int, b: int, phase: int) -> None:
+        if n < 1:
             raise DomainError("a Pauli string needs at least one system")
-        mask = (1 << self.n) - 1
-        if self.a & ~mask or self.b & ~mask:
+        mask = (1 << n) - 1
+        if a & ~mask or b & ~mask:
             raise DimensionError("exponent mask exceeds the declared system count")
-        object.__setattr__(self, "phase", self.phase & 3)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "phase", phase & 3)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.a, self.b, self.phase) == (other.n, other.a, other.b, other.phase)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.a, self.b, self.phase))
+
+    def __reduce__(self):
+        return type(self), (self.n, self.a, self.b, self.phase)
 
     # -- constructors -------------------------------------------------
 
@@ -257,36 +273,56 @@ def product_of(strings: Iterable[PauliString], n: int | None = None) -> PauliStr
     return result
 
 
-@dataclass(frozen=True)
 class AntiCommutingSet:
     """A pairwise anti-commuting collection of Hermitian strings.
 
     The constructor validates pairwise anti-commutation and the size
     bound: on ``n`` systems no more than ``2n + 1`` operators can
-    pairwise anti-commute.
+    pairwise anti-commute.  Immutable, and equal and hashed by
+    ``members``.
     """
 
-    members: tuple[PauliString, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self) -> None:
-        if not self.members:
+    def __init__(self, members: tuple[PauliString, ...]) -> None:
+        if not members:
             raise DomainError("an anti-commuting set needs at least one member")
-        n = self.members[0].n
-        for s in self.members:
+        n = members[0].n
+        for s in members:
             if s.n != n:
                 raise DimensionError("mixed system counts in anti-commuting set")
             if not s.is_hermitian:
                 raise DomainError(f"{s.text()} is not Hermitian")
             if s.is_identity:
                 raise DomainError("the identity commutes with everything")
-        for s, t in itertools.combinations(self.members, 2):
+        for s, t in itertools.combinations(members, 2):
             if symplectic_form(s, t) == 0:
                 raise DomainError(f"{s.text()} and {t.text()} commute")
-        if len(self.members) > 2 * n + 1:
+        if len(members) > 2 * n + 1:
             raise DomainError(
-                f"{len(self.members)} pairwise anti-commuting operators on "
+                f"{len(members)} pairwise anti-commuting operators on "
                 f"{n} systems is impossible (bound {2 * n + 1})"
             )
+        object.__setattr__(self, "members", members)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
+
+    def __reduce__(self):
+        return type(self), (self.members,)
+
+    def __repr__(self) -> str:
+        return f"AntiCommutingSet(members={self.members!r})"
 
     @property
     def n(self) -> int:

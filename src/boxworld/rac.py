@@ -18,7 +18,7 @@ the one map from a theory name to its code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, ResourceError, ValidationError, validate_exponent
@@ -49,8 +49,7 @@ THEORIES = ("gnst", "p-gnst", "p-bin", "p-box")
 MAX_BOOST_SYSTEMS = 12
 
 
-@dataclass(frozen=True)
-class RacParams:
+class RacParams(namedtuple("RacParams", "encoded_bits carriers recovery p theory")):
     """Shape of one code: what it stores, what carries it, how well.
 
     Attributes:
@@ -61,19 +60,18 @@ class RacParams:
         theory: One of ``THEORIES``.
     """
 
-    encoded_bits: int
-    carriers: int
-    recovery: float
-    p: float
-    theory: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.encoded_bits < 1 or self.carriers < 1:
+    def __new__(
+        cls, encoded_bits: int, carriers: int, recovery: float, p: float, theory: str
+    ) -> RacParams:
+        if encoded_bits < 1 or carriers < 1:
             raise DomainError("need at least one carrier and one encoded bit")
-        if not 0.5 <= self.recovery <= 1.0:
-            raise DomainError(f"recovery probability {self.recovery} outside [1/2, 1]")
-        if self.theory not in THEORIES:
-            raise DomainError(f"unknown theory {self.theory!r}")
+        if not 0.5 <= recovery <= 1.0:
+            raise DomainError(f"recovery probability {recovery} outside [1/2, 1]")
+        if theory not in THEORIES:
+            raise DomainError(f"unknown theory {theory!r}")
+        return super().__new__(cls, encoded_bits, carriers, recovery, p, theory)
 
 
 def rac_params(theory: str, n: int, p: float = math.inf) -> RacParams:

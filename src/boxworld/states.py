@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -69,6 +69,8 @@ DEFAULT_TOL = 1e-9
 
 OutcomeVector = tuple[int, ...]
 
+_LABELS = frozenset((1, 2, 3))  # the fiducial measurement labels
+
 
 def outcome_product(outcome: OutcomeVector) -> int:
     prod = 1
@@ -83,22 +85,42 @@ def all_outcomes(m: int) -> Iterator[OutcomeVector]:
         yield bits
 
 
-@dataclass(frozen=True, slots=True)
 class FiducialSetting:
     """One fiducial measurement label per system, each in {1, 2, 3}.
 
     Label 1 measures X, 2 measures Z and 3 measures XZ (the Y basis
     element in Hermitian form): the labels are the digits of
-    :func:`~boxworld.pauli.digit_masks`.
+    :func:`~boxworld.pauli.digit_masks`.  Immutable, and equal and
+    hashed by ``labels``.
     """
 
-    labels: tuple[int, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self) -> None:
-        if not self.labels:
+    def __init__(self, labels: tuple[int, ...]) -> None:
+        if not labels:
             raise DomainError("a setting needs at least one system")
-        if any(k not in (1, 2, 3) for k in self.labels):
-            raise DomainError(f"labels must lie in {{1,2,3}}: {self.labels}")
+        if not _LABELS.issuperset(labels):
+            raise DomainError(f"labels must lie in {{1,2,3}}: {labels}")
+        object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash((self.labels,))
+
+    def __reduce__(self):
+        return type(self), (self.labels,)
+
+    def __repr__(self) -> str:
+        return f"FiducialSetting(labels={self.labels!r})"
 
     @property
     def n(self) -> int:
@@ -342,24 +364,27 @@ def tensor_product(first: CoefficientState, second: CoefficientState) -> Coeffic
 _GATE_NAMES = {"I", "X", "Y", "Z", "H", "CNOT"}
 
 
-@dataclass(frozen=True)
-class CliffordCircuit:
-    """A gate sequence over {I, X, Y, Z, H, CNOT}, applied left to right."""
+class CliffordCircuit(namedtuple("CliffordCircuit", "n gates")):
+    """A gate sequence over {I, X, Y, Z, H, CNOT}, applied left to right.
 
-    n: int
-    gates: tuple[tuple[str, tuple[int, ...]], ...]
+    Fields: ``n`` (int) and ``gates``, a tuple of ``(name, targets)``
+    pairs with ``targets`` a tuple of system indices.
+    """
 
-    def __post_init__(self) -> None:
-        for name, targets in self.gates:
+    __slots__ = ()
+
+    def __new__(cls, n: int, gates: tuple[tuple[str, tuple[int, ...]], ...]) -> CliffordCircuit:
+        for name, targets in gates:
             if name not in _GATE_NAMES:
                 raise DomainError(f"unsupported gate {name!r}")
             expected = 2 if name == "CNOT" else 1
             if len(targets) != expected:
                 raise DomainError(f"{name} takes {expected} target(s), got {targets}")
-            if any(not 0 <= t < self.n for t in targets):
+            if any(not 0 <= t < n for t in targets):
                 raise DimensionError(f"gate target out of range: {targets}")
             if name == "CNOT" and targets[0] == targets[1]:
                 raise DomainError("CNOT control and target must differ")
+        return super().__new__(cls, n, gates)
 
 
 def conjugate_pauli(circuit: CliffordCircuit, p: PauliString) -> PauliString:

@@ -159,7 +159,7 @@ class TestRacCommands:
 
     def test_boost_refuses_sizes_it_cannot_draw(self, runner, monkeypatch):
         # Without the limit, drawing the 3**40-bit codeword fails at once.
-        monkeypatch.setattr("boxworld.cli.random", None)
+        monkeypatch.setattr("random.Random", None)
         result = invoke(runner, "rac", "boost", "--n", "40", "--p", "2")
         assert result.exit_code == 2
         assert "limited to n <= 12" in result.stderr
@@ -725,13 +725,34 @@ def assert_usage_error(result, message):
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    # A value that starts with "-" reaches its flag's own check when
+    # float() reads it, not argparse's "expected one argument".
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-inf", "-Infinity", "-NaN"])
     def test_non_finite_eta(self, runner, eta):
         result = invoke(
             runner, "learn", "--budget", "1000", "--p", "2", "--gamma", "0.1",
             "--epsilon", "0.1", "--delta", "0.1", "--eta", eta,
         )
         assert_usage_error(result, "eta must be finite")
+
+    @pytest.mark.parametrize("p, shown", [("-inf", "-inf"), ("-1E3", "-1000.0"), ("-.5e1", "-5.0")])
+    def test_negative_exponent_reaches_its_check(self, runner, p, shown):
+        result = invoke(runner, "chsh", "--p", p)
+        assert_usage_error(result, f"the exponent must satisfy p >= 1, got {shown}")
+
+    def test_negative_eta_in_exponent_form_runs(self, runner):
+        result = invoke(
+            runner, "learn", "--budget", "1000", "--p", "2", "--gamma", "0.1",
+            "--epsilon", "0.1", "--delta", "0.1", "--eta", "-1e-3",
+        )
+        assert result.exit_code == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["params"]["eta"] == -1e-3
+        assert payload["params"]["regime"] == "margin-dominant (gamma > eta)"
+
+    def test_option_like_value_still_reads_as_missing(self, runner):
+        result = invoke(runner, "chsh", "--p", "-x")
+        assert_usage_error(result, "argument --p: expected one argument")
 
     def test_tolerance_that_is_not_a_number(self, runner):
         result = invoke(runner, "chsh", "--p", "2", "--tol", "abc")
@@ -745,6 +766,12 @@ class TestUsageErrors:
         path = tmp_path / "state.json"
         path.write_text("not json")
         assert_usage_error(invoke(runner, "validate", "--file", str(path)), f"{path} is not valid JSON")
+
+    @pytest.mark.parametrize("out", ["{dir}", ""])
+    def test_output_that_is_a_directory(self, runner, tmp_path, out):
+        out = out.format(dir=tmp_path)
+        result = invoke(runner, "rac", "encode", "--n", "1", "--p", "2", "--bits", "101", "--out", out)
+        assert_usage_error(result, f"argument --out: {out!r} is a directory")
 
     def test_bits_outside_zero_and_one(self, runner):
         result = invoke(

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -997,10 +996,9 @@ class TestLadderPaths:
             lambda state, p: check_p_uncertainty(fresh(state), p),
             lambda state, p: check_local_moments(fresh(state)),
             lambda state, p: check_commuting_moments(fresh(state)),
-            lambda state, p: replace(
-                check_psd(constraints._density_matrix(constraints._moment_table(fresh(state)))),
-                constraint="density-psd",
-            ),
+            lambda state, p: check_psd(
+                constraints._density_matrix(constraints._moment_table(fresh(state)))
+            )._replace(constraint="density-psd"),
         )
         for state in [*ladder_families(n, rng), *dropped_setting_tables(n, rng)]:
             for p in (1.5, 2.0, 3.0, math.inf):

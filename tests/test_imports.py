@@ -1,8 +1,8 @@
 """Every top-level import in the package and the tests is used, the
 lower layers never import the upper ones at the top, no production
 module imports the oracle anywhere, the modules of the combinatorial
-commands load no numpy, and no command loads click, nor ``rac`` where
-it goes unused.
+commands load no numpy, no module imports ``dataclasses``, and no
+command loads click, nor ``rac`` where it goes unused.
 
 A name bound by a module-level import must be read somewhere in the
 module or listed in its ``__all__``.  A deliberate re-export is spelled
@@ -117,6 +117,14 @@ def test_production_never_imports_the_oracle(name):
     assert "oracle" not in named
 
 
+# Records are named tuples and value types slotted classes: the first
+# ``import dataclasses`` pulls in inspect, ast, dis and tokenize, and
+# each class it builds compiles its generated methods.
+@pytest.mark.parametrize("path", sorted(ROOT.glob("src/boxworld/*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in {dotted.partition(".")[0] for dotted in imported_names(path, nested=True)}
+
+
 # Modules whose import must not load numpy: the combinatorial commands
 # (CHSH, the table codes, the protocols at p = inf, the summary table's
 # uncertainty check) need no linear algebra.
@@ -132,7 +140,7 @@ def test_no_module_level_numpy_import(name):
 RUN_COMMANDS = """\
 import json, sys
 from boxworld.cli import main
-MODULES = ("numpy", "click", "boxworld.rac")
+MODULES = ("numpy", "click", "boxworld.rac", "dataclasses")
 loaded = [[name in sys.modules for name in MODULES]]
 for args in json.loads(sys.argv[1]):
     assert main(args) == 0, args
@@ -177,9 +185,24 @@ def test_command_loads_no_numpy(command, tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     # One row of flags after the import and one after each command.
-    numpy, click, rac = zip(*json.loads(out.stdout.splitlines()[-1]))
-    assert numpy == click == (False,) * (len(argv) + 1)
+    numpy, click, rac, dataclasses = zip(*json.loads(out.stdout.splitlines()[-1]))
+    assert numpy == click == dataclasses == (False,) * (len(argv) + 1)
     assert not any(rac) or command not in RAC_FREE_COMMANDS
+
+
+def test_bare_cli_import_loads_no_pathlib_or_random():
+    # Without site (-S), which may preload them, a command that needs
+    # neither module does not pay for it.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, boxworld.cli\nprint([m for m in ('pathlib', 'random') if m in sys.modules])\n"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.split() == ["[]"]
 
 
 def test_every_public_name_resolves():
